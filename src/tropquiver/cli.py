@@ -180,12 +180,6 @@ def build_parser():
         prog="tropquiver",
         description="Exact decision procedures for valuated matroids on quivers.",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for randomized cross-oracle subcommands (reproducibility)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, *files, **kwargs):

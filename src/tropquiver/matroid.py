@@ -5,13 +5,16 @@ Ground sets are {1, ..., n}; basis-value tables are stored sparsely
 (absent subsets are infinite) and kept exactly as given, since affine
 constructions care about the actual values; comparisons that are only
 meaningful projectively normalize on the fly.  The exchange axiom is
-*not* enforced at construction:
-wrap a candidate table and interrogate it with :func:`is_valuated_matroid`.
+*not* enforced at construction: wrap a candidate table and interrogate it
+with :func:`is_valuated_matroid`.  One exchange kernel serves it and
+:func:`quotient_check`: it walks the finite support only and compares
+lcm-scaled ints, which is still exact.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import lcm
 
 from .errors import NotAMatroidError, ShapeError, UsageError
 from .trop import (
@@ -99,29 +102,42 @@ def is_valuated_matroid(m: ValuatedMatroid):
     least violating triple.  An infinite left-hand side satisfies the
     axiom for free.
     """
-    subsets = list(m.subsets())
-    for i_set in subsets:
-        vi = m.value(i_set)
-        for j_set in subsets:
-            lhs = vi + m.value(j_set)
-            if lhs.is_inf:
-                continue
-            only_i = [e for e in i_set if e not in j_set]
-            only_j = [e for e in j_set if e not in i_set]
-            for i in only_i:
-                ok = False
-                for j in only_j:
-                    rhs = m.value(_swap(i_set, i, j)) + m.value(_swap(j_set, j, i))
-                    if lhs >= rhs:
-                        ok = True
-                        break
-                if not ok:
-                    return False, (i_set, j_set, i)
-    return True, None
+    witness = _exchange_violation(m, m)
+    return witness is None, witness
 
 
-def _swap(subset, out, into):
-    return tuple(sorted([e for e in subset if e != out] + [into]))
+def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
+    """The lexicographically least (I, J, i) with i in I - J and
+    mu(I) + nu(J) < mu(I - i + j) + nu(J - j + i) for every j in J - I, or
+    None.  Walks only pairs of finite bases (an infinite left-hand side
+    never violates), in sorted order, which is the order of combinations.
+    Subsets become bitmasks, and values become ints by scaling with the lcm
+    of all denominators, which keeps every sum and comparison exact.
+    """
+    scale = lcm(*(v.value.denominator for m in (mu, nu) for v in m._finite.values()))
+    left, right = (
+        [(b, sum(1 << e for e in b), v.value.numerator * (scale // v.value.denominator))
+         for b, v in sorted(m._finite.items())]
+        for m in (mu, nu)
+    )
+    mu_at, nu_at = ({mask: x for _, mask, x in t} for t in (left, right))
+    for i_set, i_mask, x in left:
+        for j_set, j_mask, y in right:
+            lhs = x + y
+            only_j = [1 << j for j in j_set if not i_mask >> j & 1]
+            for i in i_set:
+                bit_i = 1 << i
+                if j_mask & bit_i:
+                    continue
+                for bit_j in only_j:
+                    a = mu_at.get(i_mask ^ bit_i | bit_j)
+                    if a is not None:
+                        b = nu_at.get(j_mask ^ bit_j | bit_i)
+                        if b is not None and a + b <= lhs:
+                            break
+                else:
+                    return i_set, j_set, i
+    return None
 
 
 def _dedupe_projective(vectors):
@@ -180,10 +196,17 @@ def tls_membership(m: ValuatedMatroid, x: TropVector):
     """
     if len(x) != m.n:
         raise ShapeError("point has length %d, ground set has size %d" % (len(x), m.n))
-    for c in circuits(m):
+    circ = _violated_circuit(circuits(m), x)
+    return circ is None, circ
+
+
+def _violated_circuit(circs, x):
+    """The first of the precomputed circuits whose min-attained-twice
+    condition the point x breaks, or None."""
+    for c in circs:
         if not min_attained_twice([ci + xi for ci, xi in zip(c, x)]):
-            return False, c
-    return True, None
+            return c
+    return None
 
 
 def quotient_check(mu: ValuatedMatroid, nu: ValuatedMatroid):
@@ -195,24 +218,8 @@ def quotient_check(mu: ValuatedMatroid, nu: ValuatedMatroid):
         raise ShapeError("quotient requires a common ground set")
     if mu.r > nu.r:
         raise UsageError("quotient needs rank(mu) <= rank(nu)")
-    for i_set in mu.subsets():
-        mi = mu.value(i_set)
-        for j_set in nu.subsets():
-            lhs = mi + nu.value(j_set)
-            if lhs.is_inf:
-                continue
-            only_i = [e for e in i_set if e not in j_set]
-            only_j = [e for e in j_set if e not in i_set]
-            for i in only_i:
-                ok = False
-                for j in only_j:
-                    rhs = mu.value(_swap(i_set, i, j)) + nu.value(_swap(j_set, j, i))
-                    if lhs >= rhs:
-                        ok = True
-                        break
-                if not ok:
-                    return False, (i_set, j_set, i)
-    return True, None
+    witness = _exchange_violation(mu, nu)
+    return witness is None, witness
 
 
 def add_loop(m: ValuatedMatroid) -> ValuatedMatroid:

@@ -234,7 +234,7 @@ def image_equals_induced(f: GroundSetMap, mu: ValuatedMatroid):
     every cocircuit of the induced matroid must lie in the tropical span
     of the matrix images of mu's cocircuits, and every such image must
     satisfy the circuit conditions of the induced matroid."""
-    from .matroid import cocircuits, tls_membership
+    from .matroid import _violated_circuit, circuits, cocircuits
     from .trop import trop_matvec, trop_span_membership
 
     _, a_trop = associated_matrix(f)
@@ -247,8 +247,9 @@ def image_equals_induced(f: GroundSetMap, mu: ValuatedMatroid):
         ok, _, coord = trop_span_membership(usable, c, projective=True)
         if not ok:
             return False, ("span", c, coord)
+    circs = circuits(ind)
     for y in images:
-        ok, circ = tls_membership(ind, y)
-        if not ok:
+        circ = _violated_circuit(circs, y)
+        if circ is not None:
             return False, ("circuit", y, circ)
     return True, None

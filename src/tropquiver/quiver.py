@@ -18,11 +18,12 @@ from typing import Optional
 from .errors import ShapeError, UsageError
 from .matroid import (
     ValuatedMatroid,
+    _violated_circuit,
+    circuits,
     cocircuits,
     is_valuated_matroid,
     quotient_check,
     tls_equal,
-    tls_membership,
 )
 from .puiseux import (
     FieldMatrix,
@@ -202,15 +203,15 @@ def all_relations(rep: QuiverRepresentation):
     tropical.
     """
     out = []
-    seen_classical = []
+    seen_classical = {}  # monomial support -> classical relations kept
     seen_tropical = set()
 
     def push(kind, where, i_set, j_set, classical, tropical):
         if classical is not None:
-            for prev in seen_classical:
-                if _proportional(prev, classical):
-                    return
-            seen_classical.append(classical)
+            bucket = seen_classical.setdefault(tuple(m for m, _ in classical), [])
+            if any(_proportional(prev, classical) for prev in bucket):
+                return
+            bucket.append(classical)
         else:
             if not tropical.terms:
                 return
@@ -292,10 +293,10 @@ def containment_check(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid):
         raise ShapeError("matroids live on different ground sets")
     if a.n_rows != nu.n or a.n_cols != mu.n:
         raise ShapeError("matrix shape does not match the ground sets")
+    circs = circuits(nu)
     for c_star in cocircuits(mu):
-        image = trop_matvec(a, c_star)
-        ok, circ = tls_membership(nu, image)
-        if not ok:
+        circ = _violated_circuit(circs, trop_matvec(a, c_star))
+        if circ is not None:
             return False, (c_star, circ)
     return True, None
 
