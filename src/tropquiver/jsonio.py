@@ -17,6 +17,12 @@ from .quiver import QuiverRepresentation, RepArrow
 from .trop import INF, TropMatrix, TropValue, TropVector
 
 
+def _int(x, what):
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise UsageError("%s must be an integer, got %r" % (what, x))
+    return x
+
+
 def value_to_json(v: TropValue) -> str:
     return "inf" if v.is_inf else str(v.value)
 
@@ -67,13 +73,15 @@ def matroid_from_json(data) -> ValuatedMatroid:
         n, r, values = data["n"], data["r"], data["values"]
     except (TypeError, KeyError) as exc:
         raise UsageError("matroid object needs n, r, values: %s" % exc)
+    if not isinstance(values, list):
+        raise UsageError("matroid values must be an array")
     table = {}
     for item in values:
-        if not isinstance(item, list) or len(item) != 2:
+        if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], list):
             raise UsageError("matroid values must be [subset, value] pairs")
         subset, v = item
-        table[tuple(subset)] = value_from_json(v)
-    return ValuatedMatroid(n, r, table)
+        table[tuple(_int(e, "a subset element") for e in subset)] = value_from_json(v)
+    return ValuatedMatroid(_int(n, "n"), _int(r, "r"), table)
 
 
 def puiseux_to_json(p: PuiseuxElement):
@@ -122,6 +130,8 @@ def map_from_json(data) -> GroundSetMap:
         n, entries = data["n"], data["f"]
     except (TypeError, KeyError) as exc:
         raise UsageError("map object needs n and f: %s" % exc)
+    if not isinstance(entries, list):
+        raise UsageError("map entries f must be an array")
     assignments = {}
     for entry in entries:
         try:
@@ -130,8 +140,10 @@ def map_from_json(data) -> GroundSetMap:
             raise UsageError("bad map entry %r: %s" % (entry, exc))
         if i == "o":
             continue  # the origin is implicit
-        assignments[int(i)] = (0 if to == "o" else int(to), value_from_json(shift))
-    return GroundSetMap(n, assignments)
+        assignments[_int(i, "map entry i")] = (
+            0 if to == "o" else _int(to, "map entry to"), value_from_json(shift)
+        )
+    return GroundSetMap(_int(n, "n"), assignments)
 
 
 def representation_from_json(data) -> QuiverRepresentation:
@@ -142,16 +154,23 @@ def representation_from_json(data) -> QuiverRepresentation:
         dim = data["dim"]
     except (TypeError, KeyError) as exc:
         raise UsageError("quiver object needs n, vertices, arrows, dim: %s" % exc)
+    if not (isinstance(vertices, list) and all(isinstance(v, str) for v in vertices)
+            and isinstance(arrows, list) and isinstance(dim, dict)):
+        raise UsageError("quiver vertices must be an array of names, arrows an "
+                         "array, dim an object")
+    dim = {v: _int(d, "dimension of %r" % (v,)) for v, d in dim.items()}
     rep_arrows = []
     for a in arrows:
         try:
             src, dst = a["src"], a["dst"]
         except (TypeError, KeyError) as exc:
             raise UsageError("bad arrow %r: %s" % (a, exc))
+        if not (isinstance(src, str) and isinstance(dst, str)):
+            raise UsageError("arrow ends must be vertex names, got %r" % (a,))
         field = field_matrix_from_json(a["matrix_field"]) if "matrix_field" in a else None
         trop = trop_matrix_from_json(a["matrix_trop"]) if "matrix_trop" in a else None
         rep_arrows.append(RepArrow(src=src, dst=dst, field=field, trop=trop))
-    return QuiverRepresentation(n, vertices, rep_arrows, dim)
+    return QuiverRepresentation(_int(n, "n"), vertices, rep_arrows, dim)
 
 
 def representation_to_json(rep: QuiverRepresentation):

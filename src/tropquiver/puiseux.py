@@ -255,9 +255,8 @@ def classical_containment(a: FieldMatrix, u: FieldMatrix, v: FieldMatrix) -> boo
                          % (a.n_rows, v.n_cols))
     if rank_via_minors(u) != u.n_rows or rank_via_minors(v) != v.n_rows:
         raise UsageError("U and V must have full row rank")
-    base = rank_via_minors(v)
     for row in u.rows:
         image = a.matvec(row)
-        if rank_via_minors(v.stack_row(image)) != base:
+        if rank_via_minors(v.stack_row(image)) != v.n_rows:
             return False
     return True

@@ -26,13 +26,14 @@ from .matroid import (
     tls_equal,
 )
 from .puiseux import (
+    ONE,
+    ZERO,
     FieldMatrix,
-    PuiseuxElement,
     classical_containment,
     pluecker_valuations,
     valuation,
 )
-from .trop import TropMatrix, TropPolynomial, trop_matvec, trop_poly_vanishes
+from .trop import INF, TropMatrix, TropPolynomial, trop_matvec, trop_poly_vanishes
 
 
 @dataclass(frozen=True)
@@ -63,11 +64,8 @@ class QuiverRepresentation:
                 raise UsageError("arrow %r touches an unknown vertex" % (a,))
             if a.field is None and a.trop is None:
                 raise UsageError("arrow %r carries no matrix layer" % (a,))
-            for mat, rows, cols in (
-                (a.field, getattr(a.field, "n_rows", n), getattr(a.field, "n_cols", n)),
-                (a.trop, getattr(a.trop, "n_rows", n), getattr(a.trop, "n_cols", n)),
-            ):
-                if mat is not None and (rows != n or cols != n):
+            for mat in (a.field, a.trop):
+                if mat is not None and (mat.n_rows, mat.n_cols) != (n, n):
                     raise ShapeError("arrow matrices must be %dx%d" % (n, n))
             if a.field is not None and a.trop is not None:
                 if self._valuation_matrix(a.field) != a.trop:
@@ -103,35 +101,53 @@ def _sign(j, i_set, j_set):
     return -1 if flips % 2 else 1
 
 
-def _collect(terms):
-    """Sum classical coefficients over equal monomials; drop zeros."""
+def _merge_field(raw):
+    """Classical layer of signed (sign, entry, monomial) terms: coefficients
+    summed over equal monomials, zeros dropped; then its tropicalization."""
     acc = {}
-    for coeff, mono in terms:
-        acc[mono] = acc.get(mono, PuiseuxElement()) + coeff
-    return tuple(sorted((m, c) for m, c in acc.items() if not c.is_zero))
+    for sign, entry, mono in raw:
+        acc[mono] = acc.get(mono, ZERO) + (entry if sign > 0 else -entry)
+    classical = tuple(sorted((m, c) for m, c in acc.items() if not c.is_zero))
+    return classical, TropPolynomial((valuation(c), m) for m, c in classical)
 
 
-def _tropicalize(classical):
-    return TropPolynomial((valuation(c), m) for m, c in classical)
+def _merge_trop(raw):
+    """Tropical layer only: signs vanish, colliding monomials merge by minimum."""
+    return None, TropPolynomial.merged((entry, mono) for _, entry, mono in raw)
+
+
+def _relations(n, r, s, src, dst, columns, merge):
+    """Pluecker relations of a matrix M from a rank-r source to a rank-s
+    target, given by its nonzero (tropically: finite) entries per column as
+    (j, [(i, M[i][j])]), 1-based.  Yields (I, J, classical, tropical) for
+    every (r-1)-subset I and (s+1)-subset J with terms
+    sign(j;I,J) * M[i][j] * p_{I+j} * q_{J-i}; merge turns the raw
+    (sign, entry, monomial) terms into the layer's (classical, tropical)
+    pair.  Relations without terms are skipped."""
+    for i_set in combinations(range(1, n + 1), r - 1):
+        for j_set in combinations(range(1, n + 1), s + 1):
+            raw = []
+            for j, entries in columns:
+                if j in i_set:
+                    continue
+                left = (src, tuple(sorted(i_set + (j,))))
+                sign = _sign(j, i_set, j_set)
+                for i, entry in entries:
+                    if i in j_set:
+                        right = (dst, tuple(e for e in j_set if e != i))
+                        raw.append((sign, entry, tuple(sorted((left, right)))))
+            classical, tropical = merge(raw)
+            if tropical.terms:
+                yield i_set, j_set, classical, tropical
 
 
 def grassmann_pluecker_relations(n, r, tag):
     """Nontrivial Grassmann-Pluecker relations of the rank-r Grassmannian,
-    in variables labeled (tag, subset).  Yields (I, J, classical, tropical);
-    classically cancelling relations are skipped."""
-    for i_set in combinations(range(1, n + 1), r - 1):
-        for j_set in combinations(range(1, n + 1), r + 1):
-            raw = []
-            for j in j_set:
-                if j in i_set:
-                    continue
-                coeff = PuiseuxElement.const(_sign(j, i_set, j_set))
-                left = (tag, tuple(sorted(i_set + (j,))))
-                right = (tag, tuple(e for e in j_set if e != j))
-                raw.append((coeff, tuple(sorted((left, right)))))
-            classical = _collect(raw)
-            if classical:
-                yield i_set, j_set, classical, _tropicalize(classical)
+    in variables labeled (tag, subset): the relations of the identity from
+    (tag, r) to itself.  Yields (I, J, classical, tropical); classically
+    cancelling relations are skipped."""
+    identity = [(j, [(j, ONE)]) for j in range(1, n + 1)]
+    yield from _relations(n, r, r, tag, tag, identity, _merge_field)
 
 
 def quiver_pluecker_relations(rep: QuiverRepresentation, a_idx):
@@ -142,40 +158,20 @@ def quiver_pluecker_relations(rep: QuiverRepresentation, a_idx):
     target side, with terms sign(j;I,J) * M[i][j] * p_{I+j} * q_{J-i}.
     The classical layer is present only when the arrow has a field matrix;
     without it, colliding monomials are merged tropically by minimum.
+    Relations without terms are skipped in both layers.
     """
     arrow = rep.arrows[a_idx]
-    n = rep.n
-    r = rep.dim[arrow.src]
-    s = rep.dim[arrow.dst]
-    field = arrow.field
-    tmat = rep.trop_matrix(a_idx)
-    for i_set in combinations(range(1, n + 1), r - 1):
-        for j_set in combinations(range(1, n + 1), s + 1):
-            raw_classical = []
-            raw_tropical = []
-            for j in range(1, n + 1):
-                if j in i_set:
-                    continue
-                left = (arrow.src, tuple(sorted(i_set + (j,))))
-                for i in j_set:
-                    right = (arrow.dst, tuple(e for e in j_set if e != i))
-                    mono = tuple(sorted((left, right)))
-                    if field is not None:
-                        entry = field.entry(i - 1, j - 1)
-                        if entry.is_zero:
-                            continue
-                        coeff = entry if _sign(j, i_set, j_set) > 0 else -entry
-                        raw_classical.append((coeff, mono))
-                    else:
-                        tv = tmat.entry(i - 1, j - 1)
-                        if tv.is_inf:
-                            continue
-                        raw_tropical.append((tv, mono))
-            if field is not None:
-                classical = _collect(raw_classical)
-                yield i_set, j_set, classical, _tropicalize(classical)
-            else:
-                yield i_set, j_set, None, TropPolynomial.merged(raw_tropical)
+    if arrow.field is not None:
+        rows, absent, merge = arrow.field.rows, ZERO, _merge_field
+    else:
+        rows, absent, merge = arrow.trop.rows, INF, _merge_trop
+    columns = []
+    for j in range(rep.n):
+        entries = [(i + 1, row[j]) for i, row in enumerate(rows) if row[j] != absent]
+        if entries:
+            columns.append((j + 1, entries))
+    yield from _relations(rep.n, rep.dim[arrow.src], rep.dim[arrow.dst],
+                          arrow.src, arrow.dst, columns, merge)
 
 
 def _proportional(c1, c2):
@@ -197,7 +193,7 @@ def all_relations(rep: QuiverRepresentation):
     """Every defining relation of the quiver Dressian: the vertex
     Grassmann-Pluecker relations plus the per-arrow quiver Pluecker
     relations, deduplicated (classically up to scalar, tropically up to a
-    projective shift) and with vacuous relations dropped.
+    projective shift).  Vacuous relations are never generated.
 
     Returns a list of dicts with keys kind, where, I, J, classical,
     tropical.
@@ -213,8 +209,6 @@ def all_relations(rep: QuiverRepresentation):
                 return
             bucket.append(classical)
         else:
-            if not tropical.terms:
-                return
             key = _trop_projective_key(tropical)
             if key in seen_tropical:
                 return

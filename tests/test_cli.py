@@ -159,6 +159,13 @@ class TestVerdicts:
         rel = out["result"]["relations"][0]
         assert set(rel) == {"kind", "where", "I", "J", "classical", "tropical"}
 
+    def test_relations_of_zero_arrow(self, write, capsys):
+        zero = {"n": 3, "vertices": ["u", "w"], "dim": {"u": 1, "w": 1},
+                "arrows": [{"src": "u", "dst": "w", "matrix_field": [["0"] * 3] * 3}]}
+        code, out = run(capsys, "relations", write("q.json", zero))
+        assert code == 0
+        assert all(rel["tropical"] and rel["classical"] for rel in out["result"]["relations"])
+
     def test_morphism_check(self, write, capsys):
         f = write("f.json", {"n": 3, "f": [
             {"i": 1, "to": 1, "shift": "0"},
@@ -187,6 +194,38 @@ class TestErrors:
     def test_flag_check_requires_array(self, write, capsys):
         code, out = run(capsys, "flag-check", write("m.json", UNIFORM_32))
         assert code == 2
+
+    def test_non_integer_map_entry(self, write, capsys):
+        f = write("f.json", {"n": 3, "f": [{"i": "x", "to": 1, "shift": "0"}]})
+        code, out = run(capsys, "induce", write("m.json", UNIFORM_32), f)
+        assert code == 2 and "map entry i" in out["error"]
+
+    def test_non_list_subset(self, write, capsys):
+        m = write("m.json", {"n": 3, "r": 1, "values": [[1, "0"]]})
+        code, out = run(capsys, "check-matroid", m)
+        assert code == 2 and "[subset, value]" in out["error"]
+
+    def test_string_ground_set_size(self, write, capsys):
+        m = write("m.json", dict(UNIFORM_32, n="2"))
+        code, out = run(capsys, "check-matroid", m)
+        assert code == 2 and "n must be an integer" in out["error"]
+
+    @pytest.mark.parametrize("command,data", [
+        ("check-matroid", dict(UNIFORM_32, values=5)),
+        ("relations", dict(KRONECKER, n="2")),
+        ("relations", dict(KRONECKER, dim={"u": 1, "w": 1.0})),
+        ("relations", dict(KRONECKER, dim={"u": True, "w": 1})),
+        ("relations", dict(KRONECKER, vertices=[["u"], "w"])),
+        ("relations", dict(KRONECKER, arrows=[dict(KRONECKER["arrows"][0], src=["u"])])),
+    ])
+    def test_malformed_field(self, write, capsys, command, data):
+        code, out = run(capsys, command, write("in.json", data))
+        assert code == 2 and "error" in out
+
+    def test_non_list_map_entries(self, write, capsys):
+        f = write("f.json", {"n": 3, "f": 5})
+        code, out = run(capsys, "induce", write("m.json", UNIFORM_32), f)
+        assert code == 2 and "error" in out
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tropquiver import (
+    INF,
     FieldMatrix,
     PuiseuxElement,
     QuiverRepresentation,
@@ -21,6 +22,7 @@ from tropquiver import (
     pluecker_valuations,
     qdr_membership,
     qdr_membership_via_containment,
+    quiver_pluecker_relations,
     trop_qgr_witness_check,
     uniform_matroid,
 )
@@ -340,6 +342,17 @@ class TestDegenerateDimension:
         assert qdr_membership(rep, mus) == (True, None)
         assert qdr_membership_via_containment(rep, mus) == (True, None)
         assert all_relations(rep) == []
+
+    def test_zero_arrow_has_no_relations(self):
+        # every quiver relation of a zero arrow has no terms, in both layers
+        for layer in ({"field": FieldMatrix([[zero] * 3] * 3)},
+                      {"trop": TropMatrix([[INF] * 3] * 3)}):
+            rep = QuiverRepresentation(3, ["u", "w"], [RepArrow("u", "w", **layer)],
+                                       {"u": 1, "w": 1})
+            assert list(quiver_pluecker_relations(rep, 0)) == []
+            assert all_relations(rep) == []
+            point = ValuatedMatroid(3, 1, {(1,): 0})
+            assert qdr_membership(rep, {"u": point, "w": point}) == (True, None)
 
 
 class TestValidation:

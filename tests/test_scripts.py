@@ -1,0 +1,20 @@
+"""The bundled scripts run to completion against the current library."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["scripts/run_examples.py"],
+    ["scripts/route_gap_search.py", "--instances", "50"],
+])
+def test_script_exits_cleanly(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
