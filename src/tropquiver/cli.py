@@ -73,7 +73,7 @@ def _load(path):
             return json.load(fh)
     except OSError as exc:
         raise TropquiverError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also UnicodeDecodeError and the int digit limit
         raise TropquiverError("malformed JSON in %s: %s" % (path, exc))
 
 

@@ -1,12 +1,14 @@
 """JSON encodings for every object the CLI reads or writes.
 
-Rationals are strings "p/q" (or "p"), infinity is the string "inf".
+Rationals are strings "p/q" (or "p") or integers, and nothing else;
+infinity is the string "inf".
 Vectors are arrays, matrices arrays of row arrays.  Puiseux elements are
 term lists [{"c": "p/q", "e": "a/b"}, ...]; zero is the empty list.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import UsageError
@@ -17,10 +19,27 @@ from .quiver import QuiverRepresentation, RepArrow
 from .trop import INF, TropMatrix, TropValue, TropVector
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _int(x, what):
     if isinstance(x, bool) or not isinstance(x, int):
         raise UsageError("%s must be an integer, got %r" % (what, x))
     return x
+
+
+def _rational(x, what) -> Fraction:
+    """A non-bool integer or a "p" / "p/q" string as a Fraction.  The
+    pattern keeps out every other string Fraction would parse, such as
+    "1e10000000", whose expansion alone takes seconds."""
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:  # digit limit, q = 0
+            raise UsageError("bad rational %r for %s: %s" % (x, what, exc))
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise UsageError('%s must be an integer or a "p/q" string, got %r' % (what, x))
+    return Fraction(x)
 
 
 def value_to_json(v: TropValue) -> str:
@@ -28,16 +47,7 @@ def value_to_json(v: TropValue) -> str:
 
 
 def value_from_json(s) -> TropValue:
-    if s == "inf":
-        return INF
-    if isinstance(s, bool):
-        raise UsageError("booleans are not tropical values")
-    if isinstance(s, (int, str)):
-        try:
-            return TropValue(Fraction(s))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError("bad rational %r: %s" % (s, exc))
-    raise UsageError("bad tropical value %r" % (s,))
+    return INF if s == "inf" else TropValue(_rational(s, "a tropical value"))
 
 
 def vector_to_json(v: TropVector):
@@ -54,10 +64,14 @@ def trop_matrix_to_json(m: TropMatrix):
     return [[value_to_json(e) for e in row] for row in m.rows]
 
 
+def _rows(data):
+    if not (isinstance(data, list) and data and all(isinstance(r, list) for r in data)):
+        raise UsageError("a matrix must be a nonempty array of row arrays")
+    return data
+
+
 def trop_matrix_from_json(data) -> TropMatrix:
-    if not isinstance(data, list) or not data:
-        raise UsageError("a matrix must be a nonempty array of rows")
-    return TropMatrix([[value_from_json(e) for e in row] for row in data])
+    return TropMatrix([[value_from_json(e) for e in row] for row in _rows(data)])
 
 
 def matroid_to_json(m: ValuatedMatroid):
@@ -89,21 +103,17 @@ def puiseux_to_json(p: PuiseuxElement):
 
 
 def puiseux_from_json(data) -> PuiseuxElement:
-    if isinstance(data, (int, str)):
-        # shorthand: a bare rational constant
-        try:
-            return PuiseuxElement.const(Fraction(data))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError("bad rational %r: %s" % (data, exc))
     if not isinstance(data, list):
-        raise UsageError("a Puiseux element must be a term list or a rational")
+        # shorthand: a bare rational constant
+        return PuiseuxElement.const(_rational(data, "a Puiseux constant"))
     terms = {}
     for t in data:
         try:
-            c, e = Fraction(t["c"]), Fraction(t["e"])
-        except (TypeError, KeyError, ValueError, ZeroDivisionError) as exc:
+            c, e = t["c"], t["e"]
+        except (TypeError, KeyError) as exc:
             raise UsageError("bad Puiseux term %r: %s" % (t, exc))
-        terms[e] = terms.get(e, Fraction(0)) + c
+        e = _rational(e, "a Puiseux exponent")
+        terms[e] = terms.get(e, Fraction(0)) + _rational(c, "a Puiseux coefficient")
     return PuiseuxElement(terms)
 
 
@@ -112,9 +122,7 @@ def field_matrix_to_json(m: FieldMatrix):
 
 
 def field_matrix_from_json(data) -> FieldMatrix:
-    if not isinstance(data, list) or not data:
-        raise UsageError("a matrix must be a nonempty array of rows")
-    return FieldMatrix([[puiseux_from_json(e) for e in row] for row in data])
+    return FieldMatrix([[puiseux_from_json(e) for e in row] for row in _rows(data)])
 
 
 def map_to_json(f: GroundSetMap):

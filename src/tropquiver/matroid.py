@@ -13,6 +13,7 @@ lcm-scaled ints, which is still exact.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
 
@@ -34,10 +35,14 @@ def _subset(iterable):
     return s
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class ValuatedMatroid:
     """A rank-r valuated matroid candidate on {1, ..., n}."""
 
     __slots__ = ("n", "r", "_finite")
+    n: int
+    r: int
+    _finite: dict
 
     def __init__(self, n, r, values):
         if n < 1 or r < 0 or r > n:
@@ -58,9 +63,6 @@ class ValuatedMatroid:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "_finite", finite)
 
-    def __setattr__(self, name, v):
-        raise AttributeError("ValuatedMatroid is immutable")
-
     def value(self, subset) -> TropValue:
         return self._finite.get(_subset(subset), INF)
 
@@ -74,13 +76,6 @@ class ValuatedMatroid:
 
     def subsets(self):
         return combinations(range(1, self.n + 1), self.r)
-
-    def __eq__(self, other):
-        if not isinstance(other, ValuatedMatroid):
-            return NotImplemented
-        return (
-            self.n == other.n and self.r == other.r and self._finite == other._finite
-        )
 
     def __repr__(self):
         vals = ", ".join(

@@ -10,6 +10,7 @@ basis value by the sum of the scaling data.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ShapeError, UsageError
@@ -21,6 +22,7 @@ from .trop import INF, TropMatrix, TropValue
 O = 0  # the distinguished origin element
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class GroundSetMap:
     """f = (f1, f2): [n] u {o} -> ([n] u {o}) x T, fixing o.
 
@@ -30,6 +32,9 @@ class GroundSetMap:
     """
 
     __slots__ = ("n", "f1", "f2")
+    n: int
+    f1: dict
+    f2: dict
 
     def __init__(self, n, assignments):
         if n < 1:
@@ -55,14 +60,6 @@ class GroundSetMap:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "f1", f1)
         object.__setattr__(self, "f2", f2)
-
-    def __setattr__(self, name, v):
-        raise AttributeError("GroundSetMap is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, GroundSetMap):
-            return NotImplemented
-        return self.n == other.n and self.f1 == other.f1 and self.f2 == other.f2
 
     def __repr__(self):
         body = ", ".join(

@@ -8,6 +8,7 @@ exponent; zero has valuation infinity.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,10 +19,12 @@ DET_CAP = 6
 RANK_CAP = (6, 8)
 
 
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class PuiseuxElement:
     """Finite map exponent -> nonzero rational coefficient."""
 
     __slots__ = ("_terms",)
+    _terms: dict
 
     def __init__(self, terms=()):
         clean = {}
@@ -30,9 +33,6 @@ class PuiseuxElement:
             if c:
                 clean[e] = c
         object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, v):
-        raise AttributeError("PuiseuxElement is immutable")
 
     @classmethod
     def const(cls, c):
@@ -123,10 +123,12 @@ def valuation(p: PuiseuxElement) -> TropValue:
     return TropValue(min(p._terms))
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class FieldMatrix:
     """Rectangular matrix of Puiseux elements."""
 
     __slots__ = ("rows",)
+    rows: tuple
 
     def __init__(self, rows):
         rows = tuple(tuple(_coerce(e) for e in row) for row in rows)
@@ -136,9 +138,6 @@ class FieldMatrix:
         if any(len(r) != width for r in rows):
             raise ShapeError("ragged field matrix")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, v):
-        raise AttributeError("FieldMatrix is immutable")
 
     @property
     def n_rows(self):
@@ -167,11 +166,6 @@ class FieldMatrix:
         return tuple(
             sum((r[j] * v[j] for j in range(self.n_cols)), ZERO) for r in self.rows
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldMatrix):
-            return NotImplemented
-        return self.rows == other.rows
 
     def __repr__(self):
         return "[" + "; ".join(", ".join(repr(e) for e in r) for r in self.rows) + "]"

@@ -44,9 +44,16 @@ class RepArrow:
     trop: Optional[TropMatrix] = None
 
 
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class QuiverRepresentation:
     """A quiver with an n x n matrix layer per arrow and a dimension
     vector bounded by the ambient dimension."""
+
+    __slots__ = ("n", "vertices", "arrows", "dim")
+    n: int
+    vertices: tuple
+    arrows: tuple
+    dim: dict
 
     def __init__(self, n, vertices, arrows, dim):
         vertices = tuple(vertices)
@@ -73,10 +80,10 @@ class QuiverRepresentation:
                         "tropical layer of arrow %r is not the valuation of its "
                         "field layer" % (a,)
                     )
-        self.n = n
-        self.vertices = vertices
-        self.arrows = arrows
-        self.dim = dim
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "dim", dim)
 
     @staticmethod
     def _valuation_matrix(m: FieldMatrix) -> TropMatrix:
@@ -91,9 +98,6 @@ class QuiverRepresentation:
         if a.field is None:
             raise UsageError("arrow %d has no field layer" % a_idx)
         return a.field
-
-    def has_field_layer(self):
-        return all(a.field is not None for a in self.arrows)
 
 
 def _sign(j, i_set, j_set):

@@ -8,16 +8,19 @@ is classical addition, written with Python's ``+``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .errors import DegeneratePointError, ShapeError, UsageError
 
 
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class TropValue:
     """A tropical number: an exact rational, or infinity (``value is None``)."""
 
     __slots__ = ("value",)
+    value: Optional[Fraction]
 
     def __init__(self, value=None):
         if value is None:
@@ -28,9 +31,6 @@ class TropValue:
             raise UsageError("floating point is not allowed in tropical values")
         else:
             object.__setattr__(self, "value", Fraction(value))
-
-    def __setattr__(self, name, v):
-        raise AttributeError("TropValue is immutable")
 
     @property
     def is_inf(self):
@@ -116,19 +116,18 @@ def min_attained_twice(terms) -> bool:
     return sum(1 for t in terms if t == m) >= 2
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class TropVector:
     """Fixed-length tuple of tropical values."""
 
     __slots__ = ("entries",)
+    entries: tuple
 
     def __init__(self, entries):
         entries = tuple(_coerce(e) for e in entries)
         if not entries:
             raise ShapeError("empty tropical vector")
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, v):
-        raise AttributeError("TropVector is immutable")
 
     def __len__(self):
         return len(self.entries)
@@ -138,14 +137,6 @@ class TropVector:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, TropVector):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return "(" + ", ".join(repr(e) for e in self.entries) + ")"
@@ -183,10 +174,12 @@ def projectively_equal(v: TropVector, w: TropVector) -> bool:
     return projective_normalize(v) == projective_normalize(w)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class TropMatrix:
     """Rectangular grid of tropical values."""
 
     __slots__ = ("rows",)
+    rows: tuple
 
     def __init__(self, rows):
         rows = tuple(tuple(_coerce(e) for e in row) for row in rows)
@@ -196,9 +189,6 @@ class TropMatrix:
         if any(len(row) != width for row in rows):
             raise ShapeError("ragged tropical matrix")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, v):
-        raise AttributeError("TropMatrix is immutable")
 
     @property
     def n_rows(self):
@@ -211,14 +201,6 @@ class TropMatrix:
     def entry(self, i, j):
         """Entry in row i, column j (0-based)."""
         return self.rows[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, TropMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return "[" + "; ".join(" ".join(repr(e) for e in r) for r in self.rows) + "]"
@@ -293,6 +275,7 @@ def trop_span_membership(generators, x: TropVector, projective=False):
     return True, coeffs, None
 
 
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class TropPolynomial:
     """A tropical polynomial given as (coefficient, exponent) terms.
 
@@ -302,6 +285,7 @@ class TropPolynomial:
     """
 
     __slots__ = ("terms",)
+    terms: tuple
 
     def __init__(self, terms):
         cleaned = []
@@ -313,9 +297,6 @@ class TropPolynomial:
             seen.add(expo)
             cleaned.append((_coerce(coeff), expo))
         object.__setattr__(self, "terms", tuple(cleaned))
-
-    def __setattr__(self, name, v):
-        raise AttributeError("TropPolynomial is immutable")
 
     @classmethod
     def merged(cls, terms):

@@ -217,10 +217,29 @@ class TestErrors:
         ("relations", dict(KRONECKER, dim={"u": True, "w": 1})),
         ("relations", dict(KRONECKER, vertices=[["u"], "w"])),
         ("relations", dict(KRONECKER, arrows=[dict(KRONECKER["arrows"][0], src=["u"])])),
+        # rationals are non-bool integers or "p" / "p/q" strings only
+        ("check-matroid", dict(UNIFORM_32, values=[[[1, 2], "1e10000000"]])),
+        ("check-matroid", dict(UNIFORM_32, values=[[[1, 2], "1.5"]])),
+        ("check-matroid", dict(UNIFORM_32, values=[[[1, 2], "1/0"]])),
+        ("check-matroid", dict(UNIFORM_32, values=[[[1, 2], "9" * 5000]])),
+        ("realize", [[True, "0"]]),
+        ("realize", [[[{"c": True, "e": "0"}], "0"]]),
+        ("realize", [[[{"c": "1", "e": True}], "0"]]),
+        ("realize", [[[{"c": "1", "e": " 1_0"}], "0"]]),
+        # matrix rows must be arrays
+        ("realize", [1, 2]),
+        ("relations", dict(KRONECKER, arrows=[
+            {"src": "u", "dst": "w", "matrix_trop": ["00", "00"]}])),
     ])
     def test_malformed_field(self, write, capsys, command, data):
         code, out = run(capsys, command, write("in.json", data))
         assert code == 2 and "error" in out
+
+    def test_oversized_integer(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"n": %s, "r": 1, "values": []}' % ("9" * 5000))
+        code, out = run(capsys, "check-matroid", str(path))
+        assert code == 2 and "malformed" in out["error"]
 
     def test_non_list_map_entries(self, write, capsys):
         f = write("f.json", {"n": 3, "f": 5})
