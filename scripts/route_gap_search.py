@@ -5,11 +5,13 @@ disagree.
 The relation route checks that every tropical quiver Pluecker relation
 vanishes (minimum attained at least twice over all terms).  The
 containment route maps each cocircuit of the source matroid through the
-arrow and tests membership in the target space.  Containment acceptance
-always implies relation acceptance, but the converse fails whenever two
-relation terms that share a target index tie at the minimum: the
-relation route counts the tie as vanishing while the containment route
-collapses the pair into a single term.  This script measures how often
+arrow and tests membership in the target space.  On an arrow with
+src != dst, containment acceptance implies relation acceptance, but the
+converse fails whenever two relation terms that share a target index tie
+at the minimum: the relation route counts the tie as vanishing while the
+containment route collapses the pair into a single term.  (On a loop even
+the implication fails, because two terms of one relation can be the same
+monomial; this script draws only u -> w arrows.)  It measures how often
 random instances land in that gap and prints the first few hits.
 """
 

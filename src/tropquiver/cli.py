@@ -45,7 +45,7 @@ def _jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Fraction):
-        return str(obj)
+        return jsonio.rational_to_json(obj)
     if isinstance(obj, TropValue):
         return jsonio.value_to_json(obj)
     if isinstance(obj, TropVector):
@@ -73,7 +73,9 @@ def _load(path):
             return json.load(fh)
     except OSError as exc:
         raise TropquiverError("cannot read %s: %s" % (path, exc))
-    except ValueError as exc:  # also UnicodeDecodeError and the int digit limit
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers UnicodeDecodeError and the int digit limit;
+        # RecursionError comes from arrays nested past the recursion limit
         raise TropquiverError("malformed JSON in %s: %s" % (path, exc))
 
 
@@ -224,6 +226,7 @@ def main(argv=None):
     start = time.monotonic()
     try:
         ok, payload = _run_command(args)
+        certificate = None if ok or isinstance(payload, dict) else _jsonable(payload)
     except TropquiverError as exc:
         json.dump({"command": args.command, "error": str(exc)}, sys.stdout)
         sys.stdout.write("\n")
@@ -231,15 +234,13 @@ def main(argv=None):
     verdict = {
         "command": args.command,
         "result": ok if isinstance(payload, dict) and ok else bool(ok),
-        "certificate": None,
+        "certificate": certificate,
         "elapsed_ms": round((time.monotonic() - start) * 1000, 3),
         "inputs": {p: _digest(p) for p in _input_paths(args)},
     }
     if isinstance(payload, dict):
         verdict["result"] = payload
         verdict["result_bool"] = bool(ok)
-    elif not ok:
-        verdict["certificate"] = _jsonable(payload)
     json.dump(verdict, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0 if ok else 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import UsageError
+from .errors import CapacityError, UsageError
 from .matroid import ValuatedMatroid
 from .morphism import GroundSetMap
 from .puiseux import FieldMatrix, PuiseuxElement
@@ -42,8 +42,16 @@ def _rational(x, what) -> Fraction:
     return Fraction(x)
 
 
+def rational_to_json(q: Fraction) -> str:
+    """"p" or "p/q"; CapacityError past Python's int-to-str digit limit."""
+    try:
+        return str(q)
+    except ValueError as exc:
+        raise CapacityError("rational too large to encode: %s" % exc)
+
+
 def value_to_json(v: TropValue) -> str:
-    return "inf" if v.is_inf else str(v.value)
+    return "inf" if v.is_inf else rational_to_json(v.value)
 
 
 def value_from_json(s) -> TropValue:
@@ -99,7 +107,7 @@ def matroid_from_json(data) -> ValuatedMatroid:
 
 
 def puiseux_to_json(p: PuiseuxElement):
-    return [{"c": str(c), "e": str(e)} for e, c in p.terms()]
+    return [{"c": rational_to_json(c), "e": rational_to_json(e)} for e, c in p.terms()]
 
 
 def puiseux_from_json(data) -> PuiseuxElement:

@@ -1,9 +1,11 @@
 """Exact arithmetic in finite Puiseux polynomials over the rationals.
 
 An element is a finite sum of c * t**e with rational c and rational e.
-All operations are ring operations (no division), so determinants and
-ranks stay inside the class.  The valuation of an element is its least
-exponent; zero has valuation infinity.
+All operations are ring operations (no division), so the maximal minors
+behind determinants, ranks, Pluecker valuations and containment stay inside
+the class: one memoized Laplace expansion computes them under one size cap.
+The valuation of an element is its least exponent; zero has valuation
+infinity.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from itertools import combinations
 from .errors import CapacityError, NotARealizationError, ShapeError, UsageError
 from .trop import INF, TropValue
 
-DET_CAP = 6
-RANK_CAP = (6, 8)
+SIZE_CAP = (6, 8)  # largest (smaller, larger) dimension whose minors are taken
 
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
@@ -150,9 +151,6 @@ class FieldMatrix:
     def entry(self, i, j):
         return self.rows[i][j]
 
-    def columns(self, cols) -> "FieldMatrix":
-        return FieldMatrix(tuple(tuple(r[j] for j in cols) for r in self.rows))
-
     def stack_row(self, row) -> "FieldMatrix":
         row = tuple(_coerce(e) for e in row)
         if len(row) != self.n_cols:
@@ -177,46 +175,55 @@ class FieldMatrix:
         )
 
 
+def _check_cap(m: FieldMatrix):
+    if min(m.n_rows, m.n_cols) > SIZE_CAP[0] or max(m.n_rows, m.n_cols) > SIZE_CAP[1]:
+        raise CapacityError("matrix size cap is %dx%d" % SIZE_CAP)
+
+
+def _maximal_minors(m: FieldMatrix):
+    """Yield (cols, minor) for each n_rows-subset of columns, in combinations
+    order, by one Laplace expansion along the rows whose proper subminors
+    (the bottom rows on some columns) are keyed by columns and computed once."""
+    _check_cap(m)
+    d = m.n_rows
+    memo = {(): ONE}
+
+    def expand(cols):
+        row = m.rows[d - len(cols)]
+        acc = ZERO
+        for k, j in enumerate(cols):
+            if not row[j].is_zero:
+                rest = cols[:k] + cols[k + 1 :]
+                sub = memo.get(rest)
+                if sub is None:
+                    sub = memo[rest] = expand(rest)
+                term = row[j] * sub
+                acc = acc + term if k % 2 == 0 else acc - term
+        return acc
+
+    for cols in combinations(range(m.n_cols), d):
+        yield cols, expand(cols)
+
+
+def _full_row_rank(m: FieldMatrix) -> bool:
+    """Some maximal minor is nonzero; stops at the first one."""
+    return any(not minor.is_zero for _, minor in _maximal_minors(m))
+
+
 def det(m: FieldMatrix) -> PuiseuxElement:
     """Exact determinant by Laplace expansion (division-free)."""
     if m.n_rows != m.n_cols:
         raise ShapeError("determinant needs a square matrix")
-    if m.n_rows > DET_CAP:
-        raise CapacityError("determinant size cap is %d" % DET_CAP)
-    memo = {}
-
-    def minor(row, cols):
-        if not cols:
-            return ONE
-        key = (row, cols)
-        if key in memo:
-            return memo[key]
-        acc = ZERO
-        sign = 1
-        for k, j in enumerate(cols):
-            a = m.entry(row, j)
-            if not a.is_zero:
-                sub = minor(row + 1, cols[:k] + cols[k + 1 :])
-                term = a * sub
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    return minor(0, tuple(range(m.n_cols)))
+    return next(_maximal_minors(m))[1]
 
 
 def rank_via_minors(m: FieldMatrix) -> int:
     """Size of the largest nonzero minor."""
-    dims = (m.n_rows, m.n_cols)
-    if min(dims) > min(RANK_CAP) or max(dims) > max(RANK_CAP):
-        raise CapacityError("rank size cap is %dx%d" % RANK_CAP)
+    _check_cap(m)
     for k in range(min(m.n_rows, m.n_cols), 0, -1):
-        for rows in combinations(range(m.n_rows), k):
-            sub = FieldMatrix(tuple(m.rows[i] for i in rows))
-            for cols in combinations(range(m.n_cols), k):
-                if not det(sub.columns(cols)).is_zero:
-                    return k
+        for rows in combinations(m.rows, k):
+            if _full_row_rank(FieldMatrix(rows)):
+                return k
     return 0
 
 
@@ -228,29 +235,25 @@ def pluecker_valuations(m: FieldMatrix):
     d, n = m.n_rows, m.n_cols
     if d > n:
         raise NotARealizationError("more rows than columns")
-    if rank_via_minors(m) != d:
+    values = {
+        tuple(c + 1 for c in cols): valuation(minor)
+        for cols, minor in _maximal_minors(m)
+        if not minor.is_zero
+    }
+    if not values:
         raise NotARealizationError("matrix is not of full row rank")
-    values = {}
-    for cols in combinations(range(n), d):
-        v = valuation(det(m.columns(cols)))
-        if v.is_finite:
-            values[tuple(c + 1 for c in cols)] = v
     return ValuatedMatroid(n, d, values)
 
 
 def classical_containment(a: FieldMatrix, u: FieldMatrix, v: FieldMatrix) -> bool:
     """Is A * rowspan(U) contained in rowspan(V)?  U and V must have full
-    row rank; decided by rank comparisons of stacked matrices."""
+    row rank; A*u is in rowspan(V) iff [V; A*u] lacks full row rank."""
     if a.n_cols != u.n_cols:
         raise ShapeError("A has %d columns, U vectors have length %d"
                          % (a.n_cols, u.n_cols))
     if a.n_rows != v.n_cols:
         raise ShapeError("A maps into length %d, V vectors have length %d"
                          % (a.n_rows, v.n_cols))
-    if rank_via_minors(u) != u.n_rows or rank_via_minors(v) != v.n_rows:
+    if not _full_row_rank(u) or not _full_row_rank(v):
         raise UsageError("U and V must have full row rank")
-    for row in u.rows:
-        image = a.matvec(row)
-        if rank_via_minors(v.stack_row(image)) != v.n_rows:
-            return False
-    return True
+    return not any(_full_row_rank(v.stack_row(a.matvec(row))) for row in u.rows)

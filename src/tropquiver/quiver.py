@@ -372,16 +372,11 @@ def flag_mode_check(mus_by_rank):
     return True, None
 
 
-def identity_chain_representation(n, ranks, field=True):
+def identity_chain_representation(n, ranks):
     """The A_k chain quiver with identity arrows, one vertex per rank."""
     vertices = ["v%d" % (k + 1) for k in range(len(ranks))]
-    mats = {}
-    if field:
-        mats["field"] = FieldMatrix.identity(n)
-    else:
-        mats["trop"] = TropMatrix.identity(n)
     arrows = [
-        RepArrow(src=vertices[k], dst=vertices[k + 1], **mats)
+        RepArrow(vertices[k], vertices[k + 1], field=FieldMatrix.identity(n))
         for k in range(len(ranks) - 1)
     ]
     return QuiverRepresentation(

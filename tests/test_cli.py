@@ -1,9 +1,11 @@
 """Command line front end: exit codes, JSON payloads, error handling."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from tropquiver import cli
 from tropquiver.cli import main
 
 UNIFORM_32 = {
@@ -240,6 +242,23 @@ class TestErrors:
         path.write_text('{"n": %s, "r": 1, "values": []}' % ("9" * 5000))
         code, out = run(capsys, "check-matroid", str(path))
         assert code == 2 and "malformed" in out["error"]
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text("[" * 100000)
+        code, out = run(capsys, "check-matroid", str(path))
+        assert code == 2 and "malformed" in out["error"]
+
+    def test_oversized_rational_in_result(self, write, capsys):
+        # each exponent is within the 4300-digit limit, their sum is not
+        big = [{"c": "1", "e": "9" * 4300}]
+        code, out = run(capsys, "realize", write("a.json", [[big, "0"], ["0", big]]))
+        assert code == 2 and "too large" in out["error"]
+
+    def test_oversized_rational_in_certificate(self, write, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_run_command", lambda args: (False, (Fraction(10) ** 4300,)))
+        code, out = run(capsys, "check-matroid", write("m.json", UNIFORM_32))
+        assert code == 2 and "too large" in out["error"]
 
     def test_non_list_map_entries(self, write, capsys):
         f = write("f.json", {"n": 3, "f": 5})

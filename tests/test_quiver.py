@@ -307,6 +307,21 @@ class TestContainment:
         assert not ok and cert is not None
         assert not containment_check(arrow, mu, nu)[0]
 
+    def test_loop_separates_the_routes_the_other_way(self):
+        # On a loop two terms of one relation can be the same monomial.
+        # Here both diagonal entries of the tropical identity give p_1 p_2
+        # in the relation (I, J) = ((), (1, 2)); merged, it is the only term,
+        # so the relation route rejects.  The tropical identity maps every
+        # tropical linear space into itself, so containment rightly accepts.
+        # Hence containment acceptance implies relation acceptance only on
+        # arrows with src != dst.
+        rep = QuiverRepresentation(
+            2, ["v"], [RepArrow("v", "v", trop=TropMatrix.identity(2))], {"v": 1}
+        )
+        mus = {"v": rank1_matroid(2, [0, 0])}
+        assert qdr_membership(rep, mus) == (False, ("relation", 0, (), (1, 2)))
+        assert qdr_membership_via_containment(rep, mus) == (True, None)
+
 
 class TestFlagMode:
     def test_uniform_flag(self):
