@@ -31,11 +31,13 @@ from .morphism import (
 )
 from .puiseux import FieldMatrix, PuiseuxElement, pluecker_valuations
 from .quiver import (
+    _containment_failure,
+    _matroid_failure,
+    _relation_failure,
     all_relations,
     containment_check,
     flag_mode_check,
     qdr_membership,
-    qdr_membership_via_containment,
     trop_qgr_witness_check,
 )
 from .trop import TropMatrix, TropPolynomial, TropValue, TropVector
@@ -107,6 +109,7 @@ def _relation_json(rel):
 
 
 def _run_command(args):
+    """(ok, payload), or (ok, payload, extra keys for the verdict)."""
     cmd = args.command
     if cmd == "check-matroid":
         return is_valuated_matroid(jsonio.matroid_from_json(_load(args.matroid)))
@@ -147,14 +150,18 @@ def _run_command(args):
     if cmd == "qdr-check":
         rep = jsonio.representation_from_json(_load(args.quiver))
         mus = jsonio.matroid_tuple_from_json(_load(args.matroids))
-        ok, cert = qdr_membership(rep, mus)
-        if args.cross_check:
-            ok2, cert2 = qdr_membership_via_containment(rep, mus)
-            if ok != ok2:
-                raise TropquiverError(
-                    "internal disagreement between relation and containment routes"
-                )
-        return ok, cert
+        if not args.cross_check:
+            return qdr_membership(rep, mus)
+        # one vertex check for both routes; the verdict follows the relation
+        # route, and the containment route is reported where it differs
+        failed = _matroid_failure(rep, mus)
+        cert = failed or _relation_failure(rep, mus)
+        other = failed or _containment_failure(rep, mus)
+        if (cert is None) == (other is None):
+            return cert is None, cert
+        return cert is None, cert, {
+            "cross_check": {"result": other is None, "certificate": _jsonable(other)}
+        }
     if cmd == "containment-check":
         a = jsonio.trop_matrix_from_json(_load(args.matrix))
         mu = jsonio.matroid_from_json(_load(args.mu))
@@ -203,7 +210,7 @@ def build_parser():
     p.add_argument(
         "--cross-check",
         action="store_true",
-        help="also run the containment route and require agreement",
+        help="also run the containment route and report it where it differs",
     )
     add("containment-check", "matrix", "mu", "nu")
     add("qgr-witness-check", "quiver", "matroids", "witness")
@@ -225,7 +232,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        ok, payload = _run_command(args)
+        ok, payload, *extra = _run_command(args)
         certificate = None if ok or isinstance(payload, dict) else _jsonable(payload)
     except TropquiverError as exc:
         json.dump({"command": args.command, "error": str(exc)}, sys.stdout)
@@ -238,6 +245,7 @@ def main(argv=None):
         "elapsed_ms": round((time.monotonic() - start) * 1000, 3),
         "inputs": {p: _digest(p) for p in _input_paths(args)},
     }
+    verdict.update(*extra)
     if isinstance(payload, dict):
         verdict["result"] = payload
         verdict["result_bool"] = bool(ok)

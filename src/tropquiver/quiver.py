@@ -7,12 +7,19 @@ carries an n x n matrix in a field layer (Puiseux entries), a tropical
 layer (its entrywise valuation), or both.  Relation variables are labeled
 (vertex, subset) so that a tuple of valuated matroids keyed by vertex
 names gives an assignment directly.
+
+Membership by relations evaluates an arrow between two distinct vertices
+term by term, val(A_ij) + mu(I+j) + nu(J-i), without generating its
+relations: the monomial p_{I+j} q_{J-i} fixes both j and i, so no two
+terms can merge.  Only loops, whose terms can share a monomial, go through
+the relation generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 from typing import Optional
 
 from .errors import ShapeError, UsageError
@@ -260,24 +267,120 @@ def _assignment(mus, poly: TropPolynomial):
     return assign
 
 
+def _matroid_failure(rep: QuiverRepresentation, mus):
+    """Check the tuple's shape, then the exchange axiom at every vertex:
+    the first ("matroid", vertex, witness) certificate, or None.  Both
+    membership routes start with this check."""
+    _validate_tuple(rep, mus)
+    for v in rep.vertices:
+        ok, witness = is_valuated_matroid(mus[v])
+        if not ok:
+            return "matroid", v, witness
+    return None
+
+
+def _relation_failure(rep: QuiverRepresentation, mus):
+    """The relation route's arrow stage: the first ("relation", arrow, I, J)
+    whose tropical quiver Pluecker relation has a unique finite minimum, or
+    None.  Arrows between distinct vertices go through the flat kernel;
+    loops build their merged relations with the generator."""
+    for a_idx, arrow in enumerate(rep.arrows):
+        if arrow.src != arrow.dst:
+            failing = _relation_kernel(
+                rep.trop_matrix(a_idx), mus[arrow.src], mus[arrow.dst]
+            )
+            if failing is not None:
+                return ("relation", a_idx) + failing
+            continue
+        for i_set, j_set, _, tropical in quiver_pluecker_relations(rep, a_idx):
+            if not trop_poly_vanishes(tropical, _assignment(mus, tropical)):
+                return "relation", a_idx, i_set, j_set
+    return None
+
+
 def qdr_membership(rep: QuiverRepresentation, mus):
     """Quiver-Dressian membership by relation vanishing.
 
     Every vertex matroid must satisfy the exchange axiom (the tropical
     Grassmann-Pluecker layer) and every tropical quiver Pluecker relation
     must have its minimum attained twice under p_I -> mu(I).
-    Returns (bool, certificate).
+
+    On an arrow between two distinct vertices no two terms of a relation
+    share a monomial, since p_{I+j} q_{J-i} fixes both j and i; nothing
+    merges, and the relation is evaluated term by term,
+    val(A_ij) + mu(I+j) + nu(J-i), without building it.  On a loop two
+    terms can be one monomial, so loops keep the merged relations of
+    quiver_pluecker_relations.  Returns (bool, certificate).
     """
-    _validate_tuple(rep, mus)
-    for v in rep.vertices:
-        ok, witness = is_valuated_matroid(mus[v])
-        if not ok:
-            return False, ("matroid", v, witness)
-    for a_idx in range(len(rep.arrows)):
-        for i_set, j_set, _, tropical in quiver_pluecker_relations(rep, a_idx):
-            if not trop_poly_vanishes(tropical, _assignment(mus, tropical)):
-                return False, ("relation", a_idx, i_set, j_set)
-    return True, None
+    cert = _matroid_failure(rep, mus) or _relation_failure(rep, mus)
+    return cert is None, cert
+
+
+def _relation_kernel(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid):
+    """The first (I, J) in the generator's order whose tropical quiver
+    Pluecker relation for an arrow between two distinct vertices has a
+    finite minimum attained by a single term, or None.
+
+    The terms are val(A_ij) + mu(I+j) + nu(J-i) for j not in I and i in J,
+    one per pair (i, j): the monomial p_{I+j} q_{J-i} fixes both j and i,
+    so nothing merges.  For each I the terms are grouped by target index i
+    into (minimum over j, number of j attaining it); each J then combines
+    the groups of its members with nu(J-i) in O(|J|).  Subsets are
+    bitmasks, and values become ints by scaling with the lcm of all
+    denominators, as in the exchange kernel.
+    """
+    entries = [(i, j, v.value) for i, row in enumerate(a.rows, 1)
+               for j, v in enumerate(row, 1) if v.is_finite]
+    scale = lcm(*(x.denominator for _, _, x in entries),
+                *(v.value.denominator for m in (mu, nu) for v in m._finite.values()))
+
+    def scaled(x):
+        return x.numerator * (scale // x.denominator)
+
+    mu_at, nu_at = ({sum(1 << e for e in b): scaled(v.value) for b, v in m._finite.items()}
+                    for m in (mu, nu))
+    columns = {}
+    for i, j, x in entries:
+        columns.setdefault(j, []).append((i, scaled(x)))
+    columns = sorted(columns.items())
+    # per J, its members i with a finite nu(J-i)
+    targets = []
+    for j_set in combinations(range(1, a.n_rows + 1), nu.r + 1):
+        j_mask = sum(1 << e for e in j_set)
+        row = [(i, nu_at[j_mask ^ 1 << i]) for i in j_set if j_mask ^ 1 << i in nu_at]
+        if row:
+            targets.append((j_set, row))
+    for i_set in combinations(range(1, a.n_cols + 1), mu.r - 1):
+        i_mask = sum(1 << e for e in i_set)
+        best = {}  # i -> [min over j of A_ij + mu(I+j), how many j attain it]
+        for j, column in columns:
+            if i_mask >> j & 1:
+                continue
+            x = mu_at.get(i_mask | 1 << j)
+            if x is None:
+                continue
+            for i, a_ij in column:
+                t = a_ij + x
+                b = best.get(i)
+                if b is None or t < b[0]:
+                    best[i] = [t, 1]
+                elif t == b[0]:
+                    b[1] += 1
+        if not best:
+            continue
+        for j_set, row in targets:
+            low, count = None, 0
+            for i, y in row:
+                b = best.get(i)
+                if b is not None:
+                    t = b[0] + y
+                    if low is None or t < low:
+                        low, count = t, b[1]
+                    elif t == low:
+                        count += b[1]
+            if count == 1:
+                return i_set, j_set
+    return None
 
 
 def containment_check(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid):
@@ -303,18 +406,20 @@ def qdr_membership_via_containment(rep: QuiverRepresentation, mus):
     """Quiver-Dressian membership by per-arrow containment of tropical
     linear spaces; independent of (and cross-tested against) the
     relation-vanishing route."""
-    _validate_tuple(rep, mus)
-    for v in rep.vertices:
-        ok, witness = is_valuated_matroid(mus[v])
-        if not ok:
-            return False, ("matroid", v, witness)
+    cert = _matroid_failure(rep, mus) or _containment_failure(rep, mus)
+    return cert is None, cert
+
+
+def _containment_failure(rep: QuiverRepresentation, mus):
+    """The containment route's arrow stage: the first
+    ("containment", arrow, (cocircuit, circuit)), or None."""
     for a_idx, arrow in enumerate(rep.arrows):
         ok, cert = containment_check(
             rep.trop_matrix(a_idx), mus[arrow.src], mus[arrow.dst]
         )
         if not ok:
-            return False, ("containment", a_idx, cert)
-    return True, None
+            return "containment", a_idx, cert
+    return None
 
 
 def is_subrepresentation(rep: QuiverRepresentation, candidate):

@@ -10,9 +10,12 @@ from fractions import Fraction
 from tropquiver import (
     FieldMatrix,
     PuiseuxElement,
+    RepArrow,
+    TropMatrix,
     TropValue,
     ValuatedMatroid,
     pluecker_valuations,
+    valuation,
 )
 from tropquiver.morphism import associated_map
 from tropquiver.puiseux import rank_via_minors
@@ -75,3 +78,32 @@ def rank1_matroid(n, values):
     """Rank-1 matroid on [n] from a coordinate list; None means infinity."""
     table = {(i,): v for i, v in enumerate(values, start=1) if v is not None}
     return ValuatedMatroid(n, 1, table)
+
+
+def rand_sparse_puiseux(rng, density):
+    """Zero, or one or two terms with small coefficients of either sign, so
+    that colliding monomials often cancel classically."""
+    if rng.random() >= density:
+        return PuiseuxElement()
+    return PuiseuxElement(
+        {Fraction(rng.randint(0, 2), rng.choice([1, 2])): rng.choice([-2, -1, 1, 1, 2])
+         for _ in range(rng.randint(1, 2))}
+    )
+
+
+def rand_arrow(rng, n, src, dst):
+    """A field arrow (sometimes with its tropical layer too) or a tropical
+    arrow, with density from all-zero to full."""
+    density = rng.choice([0.0, 0.15, 0.35, 0.7, 1.0])
+    if rng.random() < 0.5:
+        field = FieldMatrix(
+            [[rand_sparse_puiseux(rng, density) for _ in range(n)] for _ in range(n)]
+        )
+        trop = None
+        if rng.random() < 0.3:
+            trop = TropMatrix([[valuation(e) for e in row] for row in field.rows])
+        return RepArrow(src, dst, field=field, trop=trop)
+    trop = TropMatrix(
+        [[rand_trop_value(rng, inf_prob=1 - density) for _ in range(n)] for _ in range(n)]
+    )
+    return RepArrow(src, dst, trop=trop)

@@ -127,6 +127,32 @@ class TestVerdicts:
         good = write("good.json", {"u": POINT_00, "w": POINT_00})
         assert run(capsys, "qdr-check", "--cross-check", q, good)[0] == 0
 
+    def test_agreeing_cross_check_adds_nothing(self, write, capsys):
+        q = write("q.json", KRONECKER)
+        for mus in ({"u": POINT_00, "w": POINT_00}, {"u": POINT_00, "w": POINT_E1}):
+            path = write("mus.json", mus)
+            plain = run(capsys, "qdr-check", q, path)
+            checked = run(capsys, "qdr-check", "--cross-check", q, path)
+            for _, out in (plain, checked):
+                del out["elapsed_ms"]
+            assert checked == plain
+
+    def test_qdr_cross_check_reports_a_disagreement(self, write, capsys):
+        # A loop carrying the tropical identity at n = 2, and mu = (0, 0):
+        # the relation route rejects, the containment route accepts.  The
+        # input is valid, so the exit code follows the relation route.
+        q = write("q.json", {
+            "n": 2,
+            "vertices": ["v"],
+            "arrows": [{"src": "v", "dst": "v", "matrix_trop": [["0", "inf"], ["inf", "0"]]}],
+            "dim": {"v": 1},
+        })
+        mus = write("mus.json", {"v": POINT_00})
+        code, out = run(capsys, "qdr-check", "--cross-check", q, mus)
+        assert code == 1
+        assert out["certificate"] == ["relation", 0, [], [1, 2]]
+        assert out["cross_check"] == {"result": True, "certificate": None}
+
     def test_containment_check(self, write, capsys):
         a = write("a.json", [["0", "inf"], ["inf", "0"]])
         mu = write("mu.json", POINT_00)

@@ -1,0 +1,100 @@
+"""What the two membership routes decide on arrows between two distinct
+vertices, as seeded properties.
+
+The relation (I, J) of an arrow A from mu to nu has one term
+val(A_ij) + mu(I+j) + nu(J-i) per pair (i, j), and the relation route asks
+for its minimum to be attained twice.  The containment route evaluates
+the same terms grouped by target index i: it asks for the minimum to be
+attained at two distinct i.
+"""
+
+import random
+from itertools import combinations
+
+from tropquiver import (
+    FieldMatrix,
+    QuiverRepresentation,
+    RepArrow,
+    is_valuated_matroid,
+    pluecker_valuations,
+    qdr_membership,
+    qdr_membership_via_containment,
+    trop_qgr_witness_check,
+)
+from tropquiver.puiseux import rank_via_minors
+from tropquiver.trop import min_attained_twice, trop_sum
+
+from helpers import rand_field_matrix, rand_realization
+from test_qdr_reference import random_arrow_instance
+
+
+def grouped_rule(rep, mus):
+    """Membership with the grouped rule: per relation, each target index i
+    keeps only its least term over j, and the minimum of those must be
+    infinite or attained at two distinct i."""
+    if not all(is_valuated_matroid(m)[0] for m in mus.values()):
+        return False
+    n = rep.n
+    for a_idx, arrow in enumerate(rep.arrows):
+        a, mu, nu = rep.trop_matrix(a_idx), mus[arrow.src], mus[arrow.dst]
+        for i_set in combinations(range(1, n + 1), mu.r - 1):
+            for j_set in combinations(range(1, n + 1), nu.r + 1):
+                groups = [
+                    trop_sum(a.entry(i - 1, j - 1) + mu.value(i_set + (j,))
+                             for j in range(1, n + 1) if j not in i_set)
+                    + nu.value(tuple(e for e in j_set if e != i))
+                    for i in j_set
+                ]
+                if not min_attained_twice(groups):
+                    return False
+    return True
+
+
+def test_grouped_rule_is_the_containment_route():
+    rng = random.Random(20231210)
+    gaps = 0
+    for k in range(600):
+        rep, mus = random_arrow_instance(rng, k)
+        grouped = grouped_rule(rep, mus)
+        assert grouped == qdr_membership_via_containment(rep, mus)[0], (rep.arrows, mus)
+        gaps += qdr_membership(rep, mus)[0] and not grouped
+    # the rules differ on these instances, so the identity is not vacuous
+    assert gaps > 0
+
+
+def test_containment_acceptance_implies_relation_acceptance():
+    rng = random.Random(20231211)
+    accepted = 0
+    for k in range(600):
+        rep, mus = random_arrow_instance(rng, k)
+        if qdr_membership_via_containment(rep, mus)[0]:
+            accepted += 1
+            assert qdr_membership(rep, mus) == (True, None), (rep.arrows, mus)
+    assert accepted >= 200
+
+
+def realizable_point(rng):
+    """A random field arrow A on [n], U of rank r and V of rank s >= r whose
+    rows are those of A*U and s - r more: (U, V) is a subrepresentation by
+    construction, whenever V has full row rank."""
+    while True:
+        n = rng.randint(1, 4)
+        r = rng.randint(1, n)
+        s = rng.randint(r, n)
+        a = rand_field_matrix(rng, n, n)
+        u = rand_realization(rng, r, n)[0]
+        extra = [] if s == r else list(rand_field_matrix(rng, s - r, n).rows)
+        v = FieldMatrix([a.matvec(row) for row in u.rows] + extra)
+        if rank_via_minors(v) == s:
+            rep = QuiverRepresentation(n, ["u", "w"], [RepArrow("u", "w", field=a)],
+                                       {"u": r, "w": s})
+            return rep, {"u": u, "w": v}
+
+
+def test_realizable_points_are_accepted_by_relations():
+    rng = random.Random(20231212)
+    for _ in range(500):
+        rep, witness = realizable_point(rng)
+        mus = {vertex: pluecker_valuations(m) for vertex, m in witness.items()}
+        assert trop_qgr_witness_check(rep, mus, witness) == (True, None)
+        assert qdr_membership(rep, mus) == (True, None), (rep.arrows, witness)

@@ -11,7 +11,6 @@ output) must be identical.
 """
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from tropquiver import (
@@ -29,7 +28,7 @@ from tropquiver import (
 )
 from tropquiver.quiver import _proportional, _trop_projective_key
 
-from helpers import rand_trop_value
+from helpers import rand_arrow, rand_sparse_puiseux
 
 
 def _sign(j, i_set, j_set):
@@ -133,35 +132,6 @@ def reference_all_relations(rep):
         for rel in nonvacuous(reference_quiver(rep, a_idx)):
             push("arrow", a_idx, *rel)
     return out
-
-
-def rand_sparse_puiseux(rng, density):
-    """Zero, or one or two terms with small coefficients of either sign, so
-    that colliding monomials often cancel classically."""
-    if rng.random() >= density:
-        return PuiseuxElement()
-    return PuiseuxElement(
-        {Fraction(rng.randint(0, 2), rng.choice([1, 2])): rng.choice([-2, -1, 1, 1, 2])
-         for _ in range(rng.randint(1, 2))}
-    )
-
-
-def rand_arrow(rng, n, src, dst):
-    """A field arrow (sometimes with its tropical layer too) or a tropical
-    arrow, with density from all-zero to full."""
-    density = rng.choice([0.0, 0.15, 0.35, 0.7, 1.0])
-    if rng.random() < 0.5:
-        field = FieldMatrix(
-            [[rand_sparse_puiseux(rng, density) for _ in range(n)] for _ in range(n)]
-        )
-        trop = None
-        if rng.random() < 0.3:
-            trop = TropMatrix([[valuation(e) for e in row] for row in field.rows])
-        return RepArrow(src, dst, field=field, trop=trop)
-    trop = TropMatrix(
-        [[rand_trop_value(rng, inf_prob=1 - density) for _ in range(n)] for _ in range(n)]
-    )
-    return RepArrow(src, dst, trop=trop)
 
 
 def assert_same_relations(rep, a_idx):
