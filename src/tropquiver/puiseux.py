@@ -1,23 +1,41 @@
 """Exact arithmetic in finite Puiseux polynomials over the rationals.
 
 An element is a finite sum of c * t**e with rational c and rational e.
-All operations are ring operations (no division), so the maximal minors
-behind determinants, ranks, Pluecker valuations and containment stay inside
-the class: one memoized Laplace expansion computes them under one size cap.
-The valuation of an element is its least exponent; zero has valuation
-infinity.
+All operations are ring operations (no division).  The maximal minors
+behind determinants, ranks, Pluecker valuations and containment come from
+one memoized Laplace expansion under one size cap, SIZE_CAP.  It runs on
+integers: each matrix is scaled once, every exponent by the lcm N of all
+exponent denominators and each row's coefficients by the lcm of that row's
+denominators, so a minor is an {int: int} map equal to the true minor times
+the product L of the row scales, with exponents times N.  A determinant is
+converted back exactly (exponents over N, coefficients over L); a Pluecker
+valuation is the least scaled exponent over N.  The valuation of an element
+is its least exponent; zero has valuation infinity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from math import lcm
 
 from .errors import CapacityError, NotARealizationError, ShapeError, UsageError
 from .trop import INF, TropValue
 
 SIZE_CAP = (6, 8)  # largest (smaller, larger) dimension whose minors are taken
+
+
+def _mul_add(acc, p, q, sign=1):
+    """acc += sign * p * q, for polynomials as {exponent: coefficient} maps
+    (rational in PuiseuxElement, scaled integers in the minor expansion)."""
+    for e1, c1 in p.items():
+        if sign < 0:
+            c1 = -c1
+        for e2, c2 in q.items():
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + c1 * c2
 
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
@@ -70,12 +88,8 @@ class PuiseuxElement:
         return self + (-_coerce(other))
 
     def __mul__(self, other):
-        other = _coerce(other)
         out = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+        _mul_add(out, self._terms, _coerce(other)._terms)
         return PuiseuxElement(out)
 
     __rmul__ = __mul__
@@ -161,9 +175,13 @@ class FieldMatrix:
         v = tuple(_coerce(e) for e in v)
         if len(v) != self.n_cols:
             raise ShapeError("vector length mismatch")
-        return tuple(
-            sum((r[j] * v[j] for j in range(self.n_cols)), ZERO) for r in self.rows
-        )
+        out = []
+        for row in self.rows:
+            acc = {}
+            for a, x in zip(row, v):
+                _mul_add(acc, a._terms, x._terms)
+            out.append(PuiseuxElement(acc))
+        return tuple(out)
 
     def __repr__(self):
         return "[" + "; ".join(", ".join(repr(e) for e in r) for r in self.rows) + "]"
@@ -180,41 +198,68 @@ def _check_cap(m: FieldMatrix):
         raise CapacityError("matrix size cap is %dx%d" % SIZE_CAP)
 
 
+def _expand(rows, memo, cols):
+    """Laplace expansion of the minor of the bottom len(cols) scaled rows on
+    cols, along its top row.  A module function rather than a closure, so
+    that the memo is freed by reference counting, not by the cycle collector."""
+    row = rows[len(rows) - len(cols)]
+    acc = {}
+    for k, j in enumerate(cols):
+        if row[j]:
+            rest = cols[:k] + cols[k + 1 :]
+            sub = memo.get(rest)
+            if sub is None:
+                sub = memo[rest] = _expand(rows, memo, rest)
+            _mul_add(acc, row[j], sub, -1 if k % 2 else 1)
+    return {e: c for e, c in acc.items() if c}
+
+
 def _maximal_minors(m: FieldMatrix):
-    """Yield (cols, minor) for each n_rows-subset of columns, in combinations
-    order, by one Laplace expansion along the rows whose proper subminors
-    (the bottom rows on some columns) are keyed by columns and computed once."""
+    """Every maximal minor of m, by one Laplace expansion along the rows
+    over lcm-scaled integers.
+
+    Returns (N, L, minors).  N is the lcm of all exponent denominators and L
+    the product over the rows of the lcm of that row's coefficient
+    denominators, so every entry, scaled, is an {int exponent: int
+    coefficient} dict.  minors yields (cols, minor) for each n_rows-subset
+    of columns in combinations order, where minor is such a dict, without
+    zero coefficients, equal to L times the true minor with its exponents
+    times N.  Proper subminors (the bottom rows on some columns) are keyed
+    by columns and computed once.  The size cap is checked before anything
+    is scaled."""
     _check_cap(m)
-    d = m.n_rows
-    memo = {(): ONE}
-
-    def expand(cols):
-        row = m.rows[d - len(cols)]
-        acc = ZERO
-        for k, j in enumerate(cols):
-            if not row[j].is_zero:
-                rest = cols[:k] + cols[k + 1 :]
-                sub = memo.get(rest)
-                if sub is None:
-                    sub = memo[rest] = expand(rest)
-                term = row[j] * sub
-                acc = acc + term if k % 2 == 0 else acc - term
-        return acc
-
-    for cols in combinations(range(m.n_cols), d):
-        yield cols, expand(cols)
+    # reduce, not lcm(*...): unpacking a generator builds and resizes an
+    # argument tuple on every call, which raised peak RSS over long runs
+    exp_scale = reduce(lcm, (e.denominator for row in m.rows for x in row for e in x._terms), 1)
+    rows, coeff_scale = [], 1
+    for row in m.rows:
+        row_scale = reduce(lcm, (c.denominator for x in row for c in x._terms.values()), 1)
+        coeff_scale *= row_scale
+        rows.append([
+            {e.numerator * (exp_scale // e.denominator):
+             c.numerator * (row_scale // c.denominator) for e, c in x._terms.items()}
+            for x in row
+        ])
+    memo = {(): {0: 1}}
+    minors = ((cols, _expand(rows, memo, cols))
+              for cols in combinations(range(m.n_cols), len(rows)))
+    return exp_scale, coeff_scale, minors
 
 
 def _full_row_rank(m: FieldMatrix) -> bool:
     """Some maximal minor is nonzero; stops at the first one."""
-    return any(not minor.is_zero for _, minor in _maximal_minors(m))
+    return any(minor for _, minor in _maximal_minors(m)[2])
 
 
 def det(m: FieldMatrix) -> PuiseuxElement:
     """Exact determinant by Laplace expansion (division-free)."""
     if m.n_rows != m.n_cols:
         raise ShapeError("determinant needs a square matrix")
-    return next(_maximal_minors(m))[1]
+    exp_scale, coeff_scale, minors = _maximal_minors(m)
+    _, minor = next(minors)
+    return PuiseuxElement(
+        {Fraction(e, exp_scale): Fraction(c, coeff_scale) for e, c in minor.items()}
+    )
 
 
 def rank_via_minors(m: FieldMatrix) -> int:
@@ -235,10 +280,11 @@ def pluecker_valuations(m: FieldMatrix):
     d, n = m.n_rows, m.n_cols
     if d > n:
         raise NotARealizationError("more rows than columns")
+    exp_scale, _, minors = _maximal_minors(m)
     values = {
-        tuple(c + 1 for c in cols): valuation(minor)
-        for cols, minor in _maximal_minors(m)
-        if not minor.is_zero
+        tuple(c + 1 for c in cols): TropValue(Fraction(min(minor), exp_scale))
+        for cols, minor in minors
+        if minor
     }
     if not values:
         raise NotARealizationError("matrix is not of full row rank")

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from typing import Optional
 
-from .errors import ShapeError, UsageError
+from .errors import CapacityError, ShapeError, UsageError
 from .matroid import (
     ValuatedMatroid,
     _violated_circuit,
@@ -41,6 +41,11 @@ from .puiseux import (
     valuation,
 )
 from .trop import INF, TropMatrix, TropPolynomial, trop_matvec, trop_poly_vanishes
+
+# most (I, J) pairs all_relations walks; about four times the n = 8 chain of
+# ranks (3, 5) (4704 pairs), the largest instance the tests, scripts and
+# benchmark build
+RELATION_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -207,8 +212,17 @@ def all_relations(rep: QuiverRepresentation):
     projective shift).  Vacuous relations are never generated.
 
     Returns a list of dicts with keys kind, where, I, J, classical,
-    tropical.
+    tropical.  Raises CapacityError, before generating anything, when more
+    than RELATION_CAP (I, J) pairs would be walked: C(n, r-1) * C(n, r+1)
+    for a vertex of rank r, C(n, r-1) * C(n, s+1) for an arrow from rank r
+    to rank s.
     """
+    n, dim = rep.n, rep.dim
+    pairs = sum(comb(n, dim[v] - 1) * comb(n, dim[v] + 1) for v in rep.vertices)
+    pairs += sum(comb(n, dim[a.src] - 1) * comb(n, dim[a.dst] + 1) for a in rep.arrows)
+    if pairs > RELATION_CAP:
+        raise CapacityError("relation generation walks %d (I, J) pairs; the cap is %d"
+                            % (pairs, RELATION_CAP))
     out = []
     seen_classical = {}  # monomial support -> classical relations kept
     seen_tropical = set()

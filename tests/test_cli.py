@@ -1,6 +1,9 @@
 """Command line front end: exit codes, JSON payloads, error handling."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -263,6 +266,13 @@ class TestErrors:
         code, out = run(capsys, command, write("in.json", data))
         assert code == 2 and "error" in out
 
+    def test_relations_past_the_cap(self, write, capsys):
+        # 61 bytes of input, about 2e16 (I, J) pairs to walk
+        q = write("q.json", {"n": 30, "vertices": ["v"], "arrows": [], "dim": {"v": 15}})
+        code, out = run(capsys, "relations", q)
+        assert code == 2 and set(out) == {"command", "error"}
+        assert "cap" in out["error"]
+
     def test_oversized_integer(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text('{"n": %s, "r": 1, "values": []}' % ("9" * 5000))
@@ -295,3 +305,13 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+def test_python_dash_m_runs_the_cli(write):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "tropquiver", "check-matroid",
+                           write("m.json", DISCONNECTED)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["certificate"] == [[1, 2], [3, 4], 1]

@@ -1,9 +1,10 @@
 """Fuzzing the CLI input boundary with generated JSON trees.
 
-Whatever the files hold, ``check-matroid``, ``qdr-check`` and
-``relations`` must print exactly one JSON object and exit 0, 1 or 2, and
-exit 1 must carry a certificate.  Most inputs start as a coherent quiver
-and matroid tuple, so that they reach the decision procedures; then one
+Whatever the files hold, ``check-matroid``, ``qdr-check``, ``relations``,
+``realize``, ``containment-check`` and ``qgr-witness-check`` must print
+exactly one JSON object and exit 0, 1 or 2, and exit 1 must carry a
+certificate.  Most inputs start as a coherent quiver, matroid tuple, witness
+and tropical matrix, so that they reach the decision procedures; then one
 node of one file may be swapped for an arbitrary JSON tree.  Sizes stay
 small, because every decision procedure is exponential in the ground set.
 """
@@ -46,8 +47,8 @@ def matroid(n, r):
     )
 
 
-def matrix(n, entry):
-    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+def matrix(rows, cols, entry):
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
 
 
 FIELD_ENTRY = st.sampled_from(["0", "1", "-2", "1/2"]) | st.lists(
@@ -57,8 +58,8 @@ FIELD_ENTRY = st.sampled_from(["0", "1", "-2", "1/2"]) | st.lists(
 
 @st.composite
 def instance(draw):
-    """A quiver on [n] with up to two arrows (loops included) and a
-    matroid tuple of the right ranks."""
+    """A quiver on [n] with up to two arrows (loops included), a matroid
+    tuple and a witness of the right ranks, and an n x n tropical matrix."""
     n = draw(st.integers(1, 4))
     vertices = draw(st.lists(st.sampled_from(VERTICES), min_size=1, max_size=2, unique=True))
     dim = {v: draw(st.integers(1, n)) for v in vertices}
@@ -66,12 +67,14 @@ def instance(draw):
     for _ in range(draw(st.integers(0, 2))):
         arrow = {"src": draw(st.sampled_from(vertices)), "dst": draw(st.sampled_from(vertices))}
         if draw(st.booleans()):
-            arrow["matrix_field"] = draw(matrix(n, FIELD_ENTRY))
+            arrow["matrix_field"] = draw(matrix(n, n, FIELD_ENTRY))
         else:
-            arrow["matrix_trop"] = draw(matrix(n, VALUES))
+            arrow["matrix_trop"] = draw(matrix(n, n, VALUES))
         arrows.append(arrow)
     quiver = {"n": n, "vertices": vertices, "arrows": arrows, "dim": dim}
-    return quiver, {v: draw(matroid(n, dim[v])) for v in vertices}
+    mus = {v: draw(matroid(n, dim[v])) for v in vertices}
+    witness = {v: draw(matrix(dim[v], n, FIELD_ENTRY)) for v in vertices}
+    return quiver, mus, witness, draw(matrix(n, n, VALUES))
 
 
 def mutate(draw, doc):
@@ -87,12 +90,16 @@ def mutate(draw, doc):
 
 @st.composite
 def commands(draw):
-    quiver, mus = draw(instance())
+    quiver, mus, witness, trop = draw(instance())
+    first, last = quiver["vertices"][0], quiver["vertices"][-1]
     argv, documents = draw(st.sampled_from([
-        (["check-matroid"], [next(iter(mus.values()))]),
+        (["check-matroid"], [mus[first]]),
         (["qdr-check"], [quiver, mus]),
         (["qdr-check", "--cross-check"], [quiver, mus]),
         (["relations"], [quiver]),
+        (["realize"], [witness[first]]),
+        (["containment-check"], [trop, mus[first], mus[last]]),
+        (["qgr-witness-check"], [quiver, mus, witness]),
     ]))
     if draw(st.booleans()):
         k = draw(st.integers(0, len(documents) - 1))

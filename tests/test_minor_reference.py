@@ -6,11 +6,13 @@
 determinant, a determinant per row and column subset, a rank pass before the
 Pluecker minors, and a rank comparison per stacked image, under two caps.
 They are kept verbatim, apart from ``columns`` standing in for the deleted
-``FieldMatrix.columns``.  The library must return equal results, or raise
+``FieldMatrix.columns``; so is ``reference_matvec``, the former
+``FieldMatrix.matvec``.  The library must return equal results, or raise
 the same exception class, on every input.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from tropquiver import (
@@ -218,3 +220,75 @@ def test_fixed_cases_match_reference():
         assert outcome(rank_via_minors, m) == outcome(reference_rank, m), m
         assert outcome(pluecker_valuations, m) == outcome(reference_pluecker, m), m
     assert outcome(rank_via_minors, FieldMatrix([[one]] * 9)) == ("raise", CapacityError)
+
+
+def reference_matvec(a, v):
+    """The former ``FieldMatrix.matvec``: a ring-operation sum per row."""
+    return tuple(sum((r[j] * v[j] for j in range(a.n_cols)), ZERO) for r in a.rows)
+
+
+DENOMINATORS = [1, 2, 3, 5, 4, 9]
+
+
+def rational_puiseux(rng, coeff_den, zero_prob=0.25):
+    """Zero, or one or two terms with exponents such as -2/5, 1/2 or 4/3
+    and coefficients over coeff_den."""
+    if rng.random() < zero_prob:
+        return ZERO
+    return PuiseuxElement(
+        {Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5])):
+         Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), coeff_den)
+         for _ in range(rng.randint(1, 2))}
+    )
+
+
+def rational_matrix(rng, d, n):
+    """Exponents with mixed denominators, negative ones included; each row
+    draws its coefficient denominators from its own pair."""
+    rows = []
+    for _ in range(d):
+        dens = rng.sample(DENOMINATORS, 2)
+        rows.append([rational_puiseux(rng, rng.choice(dens)) for _ in range(n)])
+    return FieldMatrix(rows)
+
+
+def test_rational_data_matches_reference_exactly():
+    rng = random.Random(20240604)
+    scaled = 0
+    for k in range(200):
+        d = rng.randint(1, 4)
+        n = d if k % 3 else rng.randint(d, 6)
+        m = rational_matrix(rng, d, n)
+        if d == n:
+            got = outcome(det, m)
+            assert got == outcome(reference_det, m), m
+            if got[1] != ZERO and any(
+                e.denominator > 1 or c.denominator > 1 for e, c in got[1].terms()
+            ):
+                scaled += 1
+        assert outcome(pluecker_valuations, m) == outcome(reference_pluecker, m), m
+        assert outcome(rank_via_minors, m) == outcome(reference_rank, m), m
+        v = [rational_puiseux(rng, rng.choice(DENOMINATORS)) for _ in range(n)]
+        assert m.matvec(v) == reference_matvec(m, v), (m, v)
+    assert scaled >= 50
+
+
+def test_huge_exponent_and_zero_matrix_match_reference():
+    big = 10 ** 999 + 7  # 1000 digits
+    t = PuiseuxElement.t_power
+    c = PuiseuxElement.monomial
+    huge = FieldMatrix([
+        [c(Fraction(1, 3), Fraction(big, 7)), t(Fraction(-1, 2)), ONE],
+        [t(Fraction(2, 5)), c(Fraction(-5, 2), Fraction(-big, 3)) + ONE, t(1)],
+        [c(Fraction(7, 4), Fraction(1, 9)), ZERO, c(3, Fraction(big))],
+    ])
+    got = det(huge)
+    assert got == reference_det(huge)
+    assert max(e for e, _ in got.terms()).numerator > big
+    assert pluecker_valuations(huge) == reference_pluecker(huge)
+    for d, n in [(1, 1), (3, 3), (2, 5)]:
+        zero = FieldMatrix([[ZERO] * n for _ in range(d)])
+        if d == n:
+            assert det(zero) == reference_det(zero) == ZERO
+        assert rank_via_minors(zero) == reference_rank(zero) == 0
+        assert outcome(pluecker_valuations, zero) == ("raise", NotARealizationError)

@@ -26,7 +26,8 @@ from tropquiver import (
     trop_qgr_witness_check,
     uniform_matroid,
 )
-from tropquiver.errors import UsageError
+from tropquiver.errors import CapacityError, UsageError
+from tropquiver.quiver import RELATION_CAP
 
 from helpers import rand_field_matrix, rand_realization, rank1_matroid
 
@@ -371,6 +372,22 @@ class TestDegenerateDimension:
 
 
 class TestValidation:
+    def test_relation_cap_counts_arrow_pairs(self):
+        # n = 12, ranks 1 and 11: each vertex walks 66 (I, J) pairs
+        # (C(12, 0) * C(12, 2) and C(12, 10) * C(12, 12)), each arrow from
+        # rank 11 to rank 1 C(12, 10) * C(12, 2); none of them gives a
+        # relation, so only the count can raise
+        zero = TropMatrix([[INF] * 12] * 12)
+
+        def rep(arrows):
+            return QuiverRepresentation(12, ["u", "w"], [RepArrow("w", "u", trop=zero)] * arrows,
+                                        {"u": 1, "w": 11})
+
+        most = (RELATION_CAP - 2 * 66) // (66 * 66)
+        assert all_relations(rep(most)) == []
+        with pytest.raises(CapacityError):
+            all_relations(rep(most + 1))
+
     def test_tuple_must_cover_vertices(self):
         rep = kronecker_rep()
         with pytest.raises(UsageError):
