@@ -53,6 +53,7 @@ from .quiver import (
     grassmann_pluecker_relations,
     identity_chain_representation,
     is_subrepresentation,
+    qdr_cross_check,
     qdr_membership,
     qdr_membership_via_containment,
     quiver_pluecker_relations,

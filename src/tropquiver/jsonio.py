@@ -1,7 +1,8 @@
 """JSON encodings for every object the CLI reads or writes.
 
-Rationals are strings "p/q" (or "p") or integers, and nothing else;
-infinity is the string "inf".
+Each input format F is decoded by F_from_json; the CLI names its inputs
+by these formats.  Rationals are strings "p/q" (or "p") or integers, and
+nothing else; infinity is the string "inf".
 Vectors are arrays, matrices arrays of row arrays.  Puiseux elements are
 term lists [{"c": "p/q", "e": "a/b"}, ...]; zero is the empty list.
 """
@@ -219,3 +220,43 @@ def witness_from_json(data):
     if not isinstance(data, dict):
         raise UsageError("a witness must be an object keyed by vertex")
     return {v: field_matrix_from_json(m) for v, m in data.items()}
+
+
+def flag_from_json(data):
+    if not isinstance(data, list):
+        raise UsageError("flag-check expects an array of matroids")
+    return [matroid_from_json(m) for m in data]
+
+
+def relation_to_json(rel):
+    """A relation of quiver.all_relations; a monomial is an array of
+    [vertex, subset] factors."""
+    def monomial(m):
+        return [[v, list(subset)] for v, subset in m]
+
+    return {
+        "kind": rel["kind"],
+        "where": rel["where"],
+        "I": list(rel["I"]),
+        "J": list(rel["J"]),
+        "classical": None if rel["classical"] is None else [
+            {"monomial": monomial(m), "coeff": puiseux_to_json(c)} for m, c in rel["classical"]
+        ],
+        "tropical": [
+            {"monomial": monomial(m), "coeff": value_to_json(c)} for c, m in rel["tropical"].terms
+        ],
+    }
+
+
+def certificate_to_json(cert):
+    """A certificate: None, bools, ints and strings as they are, rationals
+    and tropical vectors in their encodings, tuples and lists as arrays."""
+    if cert is None or isinstance(cert, (bool, int, str)):
+        return cert
+    if isinstance(cert, Fraction):
+        return rational_to_json(cert)
+    if isinstance(cert, TropVector):
+        return vector_to_json(cert)
+    if isinstance(cert, (list, tuple)):
+        return [certificate_to_json(x) for x in cert]
+    raise TypeError("cannot serialize %r" % (cert,))

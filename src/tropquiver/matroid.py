@@ -151,36 +151,27 @@ def _dedupe_projective(vectors):
     return out
 
 
+def _subset_vectors(m: ValuatedMatroid, size, coordinate):
+    """One vector per size-subset S of [n], coordinate(S, i) at each i,
+    projectively deduplicated."""
+    ground = range(1, m.n + 1)
+    return _dedupe_projective(
+        [TropVector(tuple(coordinate(s, i) for i in ground)) for s in combinations(ground, size)]
+    )
+
+
 def circuits(m: ValuatedMatroid):
     """Valuated circuits, projectively deduplicated."""
-    vecs = []
-    for big in combinations(range(1, m.n + 1), m.r + 1):
-        vecs.append(
-            TropVector(
-                tuple(
-                    m.value(tuple(e for e in big if e != i)) if i in big else INF
-                    for i in range(1, m.n + 1)
-                )
-            )
-        )
-    return _dedupe_projective(vecs)
+    return _subset_vectors(m, m.r + 1, lambda big, i: (
+        m.value(tuple(e for e in big if e != i)) if i in big else INF))
 
 
 def cocircuits(m: ValuatedMatroid):
     """Valuated cocircuits, projectively deduplicated."""
     if m.r == 0:
         return []
-    vecs = []
-    for small in combinations(range(1, m.n + 1), m.r - 1):
-        vecs.append(
-            TropVector(
-                tuple(
-                    INF if i in small else m.value(small + (i,))
-                    for i in range(1, m.n + 1)
-                )
-            )
-        )
-    return _dedupe_projective(vecs)
+    return _subset_vectors(m, m.r - 1, lambda small, i: (
+        INF if i in small else m.value(small + (i,))))
 
 
 def tls_membership(m: ValuatedMatroid, x: TropVector):

@@ -14,10 +14,18 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ShapeError, UsageError
-from .matroid import ValuatedMatroid, delete, quotient_check, restrict_table
+from .matroid import (
+    ValuatedMatroid,
+    _violated_circuit,
+    circuits,
+    cocircuits,
+    delete,
+    quotient_check,
+    restrict_table,
+)
 from .puiseux import FieldMatrix, PuiseuxElement, valuation
 from .puiseux import ZERO as F_ZERO
-from .trop import INF, TropMatrix, TropValue
+from .trop import INF, TropMatrix, TropValue, trop_matvec, trop_span_membership
 
 O = 0  # the distinguished origin element
 
@@ -231,9 +239,6 @@ def image_equals_induced(f: GroundSetMap, mu: ValuatedMatroid):
     every cocircuit of the induced matroid must lie in the tropical span
     of the matrix images of mu's cocircuits, and every such image must
     satisfy the circuit conditions of the induced matroid."""
-    from .matroid import _violated_circuit, circuits, cocircuits
-    from .trop import trop_matvec, trop_span_membership
-
     _, a_trop = associated_matrix(f)
     ind = affine_induced_unpointed(mu, f)
     images = [trop_matvec(a_trop, c) for c in cocircuits(mu)]

@@ -22,6 +22,7 @@ from itertools import combinations
 from math import lcm
 
 from .errors import CapacityError, NotARealizationError, ShapeError, UsageError
+from .matroid import ValuatedMatroid
 from .trop import INF, TropValue
 
 SIZE_CAP = (6, 8)  # largest (smaller, larger) dimension whose minors are taken
@@ -275,8 +276,6 @@ def rank_via_minors(m: FieldMatrix) -> int:
 def pluecker_valuations(m: FieldMatrix):
     """Valuated matroid of the row span: subset I of columns maps to the
     valuation of the corresponding maximal minor.  Requires full row rank."""
-    from .matroid import ValuatedMatroid
-
     d, n = m.n_rows, m.n_cols
     if d > n:
         raise NotARealizationError("more rows than columns")

@@ -436,6 +436,16 @@ def _containment_failure(rep: QuiverRepresentation, mus):
     return None
 
 
+def qdr_cross_check(rep: QuiverRepresentation, mus):
+    """Both membership routes with one vertex stage: the relation route's
+    and the containment route's (bool, certificate) pairs, as
+    qdr_membership and qdr_membership_via_containment return them."""
+    failed = _matroid_failure(rep, mus)
+    relation = failed or _relation_failure(rep, mus)
+    containment = failed or _containment_failure(rep, mus)
+    return (relation is None, relation), (containment is None, containment)
+
+
 def is_subrepresentation(rep: QuiverRepresentation, candidate):
     """Do the candidate row spans form a quiver subrepresentation?
 

@@ -296,6 +296,15 @@ class TestErrors:
         code, out = run(capsys, "check-matroid", write("m.json", UNIFORM_32))
         assert code == 2 and "too large" in out["error"]
 
+    def test_internal_error_exits_3(self, write, capsys, monkeypatch):
+        def fail(args):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "_run_command", fail)
+        code, out = run(capsys, "check-matroid", write("m.json", UNIFORM_32))
+        assert code == 3 and set(out) == {"command", "error"}
+        assert out["error"] == "internal error: ZeroDivisionError: division by zero"
+
     def test_non_list_map_entries(self, write, capsys):
         f = write("f.json", {"n": 3, "f": 5})
         code, out = run(capsys, "induce", write("m.json", UNIFORM_32), f)
@@ -305,6 +314,15 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    # one line per subcommand, besides the {a,b,...} of the usage line
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines() if line.strip()}
+    assert set(cli.COMMANDS) <= listed
 
 
 def test_python_dash_m_runs_the_cli(write):

@@ -17,6 +17,7 @@ from tropquiver import (
     RepArrow,
     is_valuated_matroid,
     pluecker_valuations,
+    qdr_cross_check,
     qdr_membership,
     qdr_membership_via_containment,
     trop_qgr_witness_check,
@@ -24,7 +25,7 @@ from tropquiver import (
 from tropquiver.puiseux import rank_via_minors
 from tropquiver.trop import min_attained_twice, trop_sum
 
-from helpers import rand_field_matrix, rand_realization
+from helpers import rand_field_matrix, rand_realization, rand_weakly_monomial
 from test_qdr_reference import random_arrow_instance
 
 
@@ -73,15 +74,15 @@ def test_containment_acceptance_implies_relation_acceptance():
     assert accepted >= 200
 
 
-def realizable_point(rng):
-    """A random field arrow A on [n], U of rank r and V of rank s >= r whose
-    rows are those of A*U and s - r more: (U, V) is a subrepresentation by
-    construction, whenever V has full row rank."""
+def realizable_point(rng, arrow=lambda rng, n: rand_field_matrix(rng, n, n)):
+    """A random field arrow A = arrow(rng, n) on [n], U of rank r and V of
+    rank s >= r whose rows are those of A*U and s - r more: (U, V) is a
+    subrepresentation by construction, whenever V has full row rank."""
     while True:
         n = rng.randint(1, 4)
         r = rng.randint(1, n)
         s = rng.randint(r, n)
-        a = rand_field_matrix(rng, n, n)
+        a = arrow(rng, n)
         u = rand_realization(rng, r, n)[0]
         extra = [] if s == r else list(rand_field_matrix(rng, s - r, n).rows)
         v = FieldMatrix([a.matvec(row) for row in u.rows] + extra)
@@ -98,3 +99,23 @@ def test_realizable_points_are_accepted_by_relations():
         mus = {vertex: pluecker_valuations(m) for vertex, m in witness.items()}
         assert trop_qgr_witness_check(rep, mus, witness) == (True, None)
         assert qdr_membership(rep, mus) == (True, None), (rep.arrows, witness)
+
+
+def test_weakly_monomial_realizable_points_are_accepted_by_both_routes():
+    # the paper's compatibility of weakly monomial arrows: a realizable
+    # point is a point of the quiver Dressian by either route
+    rng = random.Random(20231213)
+    for _ in range(400):
+        rep, witness = realizable_point(rng, lambda rng, n: rand_weakly_monomial(rng, n)[0])
+        mus = {vertex: pluecker_valuations(m) for vertex, m in witness.items()}
+        assert trop_qgr_witness_check(rep, mus, witness) == (True, None)
+        assert qdr_membership(rep, mus) == (True, None), (rep.arrows, witness)
+        assert qdr_membership_via_containment(rep, mus) == (True, None), (rep.arrows, witness)
+
+
+def test_cross_check_runs_both_routes():
+    rng = random.Random(20231214)
+    for k in range(200):
+        rep, mus = random_arrow_instance(rng, k)
+        assert qdr_cross_check(rep, mus) == (
+            qdr_membership(rep, mus), qdr_membership_via_containment(rep, mus))
