@@ -2,7 +2,8 @@
 """Run the bundled worked examples end to end and print what they produce.
 
 Covers the induced-matroid running example, the Kronecker quiver, the
-three-point diagonal family, and the two-towers diamond quiver.  Output
+three-point diagonal family, the two-towers diamond quiver, and a point of
+the quiver Dressian in ambient dimension 2 that is not realizable.  Output
 is plain text; everything printed is computed on the spot with exact
 arithmetic.
 """
@@ -25,6 +26,7 @@ from tropquiver import (
     pluecker_valuations,
     qdr_membership,
     qdr_membership_via_containment,
+    quiver_pluecker_relations,
     trop_matvec,
     trop_qgr_witness_check,
     uniform_matroid,
@@ -144,11 +146,29 @@ def two_towers_example():
     print("witness verifies:", trop_qgr_witness_check(rep, mus, witness))
 
 
+def nonrealizable_example():
+    heading("a nonrealizable point: the loop diag(1, 1+t) on [2], dimension 1")
+    rep = QuiverRepresentation(
+        2, ["v"], [RepArrow("v", "v", field=FieldMatrix([[one, zero], [zero, one + t]]))], {"v": 1}
+    )
+    for _, _, classical, _ in quiver_pluecker_relations(rep, 0):
+        print("the relation:", [(m, str(c)) for m, c in classical])
+    mus = {"v": rank1(2, (0, 0))}
+    print("(0, 0) by relations:", qdr_membership(rep, mus))
+    print("(0, 0) by containment:", qdr_membership_via_containment(rep, mus))
+    for name, span in (("span(e1)", FieldMatrix([[one, zero]])),
+                       ("span(e1+e2)", FieldMatrix([[one, one]])),
+                       ("span(e1+t*e2)", FieldMatrix([[one, t]]))):
+        mus = {"v": pluecker_valuations(span)}
+        print("witness %s:" % name, trop_qgr_witness_check(rep, mus, {"v": span}))
+
+
 EXAMPLES = {
     "induced": induced_matroid_example,
     "kronecker": kronecker_example,
     "diagonal": diagonal_family_example,
     "towers": two_towers_example,
+    "nonrealizable": nonrealizable_example,
 }
 
 

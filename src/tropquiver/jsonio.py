@@ -43,6 +43,16 @@ def _rational(x, what) -> Fraction:
     return Fraction(x)
 
 
+def _fields(data, keys, message, *args):
+    """data[k] for each of keys, or UsageError(message % args + ": " + why)
+    if data is no object or lacks one of them; the message is formatted
+    only on that error."""
+    try:
+        return [data[k] for k in keys]
+    except (TypeError, KeyError) as exc:
+        raise UsageError("%s: %s" % (message % args, exc))
+
+
 def rational_to_json(q: Fraction) -> str:
     """"p" or "p/q"; CapacityError past Python's int-to-str digit limit."""
     try:
@@ -92,10 +102,7 @@ def matroid_to_json(m: ValuatedMatroid):
 
 
 def matroid_from_json(data) -> ValuatedMatroid:
-    try:
-        n, r, values = data["n"], data["r"], data["values"]
-    except (TypeError, KeyError) as exc:
-        raise UsageError("matroid object needs n, r, values: %s" % exc)
+    n, r, values = _fields(data, ("n", "r", "values"), "matroid object needs n, r, values")
     if not isinstance(values, list):
         raise UsageError("matroid values must be an array")
     table = {}
@@ -117,10 +124,7 @@ def puiseux_from_json(data) -> PuiseuxElement:
         return PuiseuxElement.const(_rational(data, "a Puiseux constant"))
     terms = {}
     for t in data:
-        try:
-            c, e = t["c"], t["e"]
-        except (TypeError, KeyError) as exc:
-            raise UsageError("bad Puiseux term %r: %s" % (t, exc))
+        c, e = _fields(t, ("c", "e"), "bad Puiseux term %r", t)
         e = _rational(e, "a Puiseux exponent")
         terms[e] = terms.get(e, Fraction(0)) + _rational(c, "a Puiseux coefficient")
     return PuiseuxElement(terms)
@@ -143,18 +147,12 @@ def map_to_json(f: GroundSetMap):
 
 
 def map_from_json(data) -> GroundSetMap:
-    try:
-        n, entries = data["n"], data["f"]
-    except (TypeError, KeyError) as exc:
-        raise UsageError("map object needs n and f: %s" % exc)
+    n, entries = _fields(data, ("n", "f"), "map object needs n and f")
     if not isinstance(entries, list):
         raise UsageError("map entries f must be an array")
     assignments = {}
     for entry in entries:
-        try:
-            i, to, shift = entry["i"], entry["to"], entry["shift"]
-        except (TypeError, KeyError) as exc:
-            raise UsageError("bad map entry %r: %s" % (entry, exc))
+        i, to, shift = _fields(entry, ("i", "to", "shift"), "bad map entry %r", entry)
         if i == "o":
             continue  # the origin is implicit
         assignments[_int(i, "map entry i")] = (
@@ -164,13 +162,8 @@ def map_from_json(data) -> GroundSetMap:
 
 
 def representation_from_json(data) -> QuiverRepresentation:
-    try:
-        n = data["n"]
-        vertices = data["vertices"]
-        arrows = data["arrows"]
-        dim = data["dim"]
-    except (TypeError, KeyError) as exc:
-        raise UsageError("quiver object needs n, vertices, arrows, dim: %s" % exc)
+    n, vertices, arrows, dim = _fields(data, ("n", "vertices", "arrows", "dim"),
+                                       "quiver object needs n, vertices, arrows, dim")
     if not (isinstance(vertices, list) and all(isinstance(v, str) for v in vertices)
             and isinstance(arrows, list) and isinstance(dim, dict)):
         raise UsageError("quiver vertices must be an array of names, arrows an "
@@ -178,10 +171,7 @@ def representation_from_json(data) -> QuiverRepresentation:
     dim = {v: _int(d, "dimension of %r" % (v,)) for v, d in dim.items()}
     rep_arrows = []
     for a in arrows:
-        try:
-            src, dst = a["src"], a["dst"]
-        except (TypeError, KeyError) as exc:
-            raise UsageError("bad arrow %r: %s" % (a, exc))
+        src, dst = _fields(a, ("src", "dst"), "bad arrow %r", a)
         if not (isinstance(src, str) and isinstance(dst, str)):
             raise UsageError("arrow ends must be vertex names, got %r" % (a,))
         field = field_matrix_from_json(a["matrix_field"]) if "matrix_field" in a else None
@@ -190,30 +180,10 @@ def representation_from_json(data) -> QuiverRepresentation:
     return QuiverRepresentation(_int(n, "n"), vertices, rep_arrows, dim)
 
 
-def representation_to_json(rep: QuiverRepresentation):
-    arrows = []
-    for idx, a in enumerate(rep.arrows):
-        entry = {"src": a.src, "dst": a.dst}
-        if a.field is not None:
-            entry["matrix_field"] = field_matrix_to_json(a.field)
-        entry["matrix_trop"] = trop_matrix_to_json(rep.trop_matrix(idx))
-        arrows.append(entry)
-    return {
-        "n": rep.n,
-        "vertices": list(rep.vertices),
-        "arrows": arrows,
-        "dim": dict(rep.dim),
-    }
-
-
 def matroid_tuple_from_json(data):
     if not isinstance(data, dict):
         raise UsageError("a matroid tuple must be an object keyed by vertex")
     return {v: matroid_from_json(m) for v, m in data.items()}
-
-
-def matroid_tuple_to_json(mus):
-    return {v: matroid_to_json(m) for v, m in mus.items()}
 
 
 def witness_from_json(data):

@@ -8,16 +8,17 @@ meaningful projectively normalize on the fly.  The exchange axiom is
 *not* enforced at construction: wrap a candidate table and interrogate it
 with :func:`is_valuated_matroid`.  One exchange kernel serves it and
 :func:`quotient_check`: it walks the finite support only and compares
-lcm-scaled ints, which is still exact.
+lcm-scaled ints, which is still exact.  Every walk over the subsets of
+the ground set is counted before it starts, against WALK_CAP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
-from .errors import NotAMatroidError, ShapeError, UsageError
+from .errors import CapacityError, NotAMatroidError, ShapeError, UsageError
 from .trop import (
     INF,
     TropValue,
@@ -26,6 +27,25 @@ from .trop import (
     projective_normalize,
     trop_sum,
 )
+
+
+# most subsets, or pairs of subsets, one call walks; about four times the
+# n = 8 chain of ranks (3, 5) (4704 (I, J) pairs in all_relations), the
+# largest instance the tests, scripts and benchmark build
+WALK_CAP = 20000
+
+
+def subset_count(n, k):
+    """C(n, k), the number of k-subsets of [n]; 0 for k < 0 (the
+    (r-1)-subsets of a rank-0 matroid)."""
+    return comb(n, k) if k >= 0 else 0
+
+
+def check_walk(what, count, unit="subsets"):
+    """Raise CapacityError, before a walk starts, if it would visit more
+    than WALK_CAP subsets or pairs of subsets."""
+    if count > WALK_CAP:
+        raise CapacityError("%s walks %d %s; the cap is %d" % (what, count, unit, WALK_CAP))
 
 
 def _subset(iterable):
@@ -151,9 +171,10 @@ def _dedupe_projective(vectors):
     return out
 
 
-def _subset_vectors(m: ValuatedMatroid, size, coordinate):
+def _subset_vectors(m: ValuatedMatroid, size, what, coordinate):
     """One vector per size-subset S of [n], coordinate(S, i) at each i,
     projectively deduplicated."""
+    check_walk(what, subset_count(m.n, size))
     ground = range(1, m.n + 1)
     return _dedupe_projective(
         [TropVector(tuple(coordinate(s, i) for i in ground)) for s in combinations(ground, size)]
@@ -162,7 +183,7 @@ def _subset_vectors(m: ValuatedMatroid, size, coordinate):
 
 def circuits(m: ValuatedMatroid):
     """Valuated circuits, projectively deduplicated."""
-    return _subset_vectors(m, m.r + 1, lambda big, i: (
+    return _subset_vectors(m, m.r + 1, "circuit enumeration", lambda big, i: (
         m.value(tuple(e for e in big if e != i)) if i in big else INF))
 
 
@@ -170,7 +191,7 @@ def cocircuits(m: ValuatedMatroid):
     """Valuated cocircuits, projectively deduplicated."""
     if m.r == 0:
         return []
-    return _subset_vectors(m, m.r - 1, lambda small, i: (
+    return _subset_vectors(m, m.r - 1, "cocircuit enumeration", lambda small, i: (
         INF if i in small else m.value(small + (i,))))
 
 

@@ -17,11 +17,13 @@ from .errors import ShapeError, UsageError
 from .matroid import (
     ValuatedMatroid,
     _violated_circuit,
+    check_walk,
     circuits,
     cocircuits,
     delete,
     quotient_check,
     restrict_table,
+    subset_count,
 )
 from .puiseux import FieldMatrix, PuiseuxElement, valuation
 from .puiseux import ZERO as F_ZERO
@@ -94,6 +96,7 @@ def affine_induced(nu: ValuatedMatroid, f: GroundSetMap) -> ValuatedMatroid:
         raise ShapeError("map and matroid ground sets differ")
     image = {f.f1[i] for i in range(1, f.n + 1) if f.f1[i] != O}
     rank, table = restrict_table(nu, image)
+    check_walk("affine induction", subset_count(f.n, rank))
     o_pos = f.n + 1
     values = {}
     for basis in combinations(range(1, f.n + 1), rank):
@@ -138,22 +141,25 @@ def is_weakly_monomial(a: FieldMatrix) -> bool:
     return all(sum(1 for e in row if not e.is_zero) <= 1 for row in a.rows)
 
 
+def _monomial_rows(a: FieldMatrix, noun):
+    """Per row of a square weakly monomial matrix, (column, entry) of its
+    nonzero entry, 0-based, or None for a zero row; UsageError naming noun
+    if a is not square, or not weakly monomial."""
+    if a.n_rows != a.n_cols:
+        raise UsageError("%s needs a square matrix" % noun)
+    hits = [[(j, e) for j, e in enumerate(row) if not e.is_zero] for row in a.rows]
+    if any(len(hit) > 1 for hit in hits):
+        raise UsageError("matrix is not weakly monomial")
+    return [hit[0] if hit else None for hit in hits]
+
+
 def associated_map(a: FieldMatrix) -> GroundSetMap:
     """The map of a square weakly monomial matrix: a zero row i goes to
     (o, inf); otherwise i goes to the column of its nonzero entry with the
     entry's valuation as shift."""
-    if a.n_rows != a.n_cols:
-        raise UsageError("associated map needs a square matrix")
-    if not is_weakly_monomial(a):
-        raise UsageError("matrix is not weakly monomial")
     assignments = {}
-    for i, row in enumerate(a.rows, start=1):
-        hit = [(j + 1, e) for j, e in enumerate(row) if not e.is_zero]
-        if not hit:
-            assignments[i] = (O, INF)
-        else:
-            j, e = hit[0]
-            assignments[i] = (j, valuation(e))
+    for i, hit in enumerate(_monomial_rows(a, "associated map"), start=1):
+        assignments[i] = (O, INF) if hit is None else (hit[0] + 1, valuation(hit[1]))
     return GroundSetMap(a.n_rows, assignments)
 
 
@@ -186,23 +192,17 @@ def decompose_weakly_monomial(a: FieldMatrix):
     """Write a square weakly monomial A as D * B with B a 0/1 weakly
     monomial support pattern and D a full-rank diagonal matrix (zero rows
     get diagonal entry 1)."""
-    if a.n_rows != a.n_cols:
-        raise UsageError("decomposition needs a square matrix")
-    if not is_weakly_monomial(a):
-        raise UsageError("matrix is not weakly monomial")
     n = a.n_rows
     one = PuiseuxElement.const(1)
     b_rows, d_rows = [], []
-    for i, row in enumerate(a.rows):
-        hit = [(j, e) for j, e in enumerate(row) if not e.is_zero]
+    for i, hit in enumerate(_monomial_rows(a, "decomposition")):
         b_row = [F_ZERO] * n
         d_row = [F_ZERO] * n
-        if hit:
-            j, e = hit[0]
-            b_row[j] = one
-            d_row[i] = e
-        else:
+        if hit is None:
             d_row[i] = one
+        else:
+            j, d_row[i] = hit
+            b_row[j] = one
         b_rows.append(tuple(b_row))
         d_rows.append(tuple(d_row))
     return FieldMatrix(b_rows), FieldMatrix(d_rows)

@@ -22,14 +22,17 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Optional
 
-from .errors import CapacityError, ShapeError, UsageError
+from .errors import ShapeError, UsageError
 from .matroid import (
+    WALK_CAP as RELATION_CAP,  # the cap all_relations counts against
     ValuatedMatroid,
     _violated_circuit,
+    check_walk,
     circuits,
     cocircuits,
     is_valuated_matroid,
     quotient_check,
+    subset_count,
     tls_equal,
 )
 from .puiseux import (
@@ -41,11 +44,6 @@ from .puiseux import (
     valuation,
 )
 from .trop import INF, TropMatrix, TropPolynomial, trop_matvec, trop_poly_vanishes
-
-# most (I, J) pairs all_relations walks; about four times the n = 8 chain of
-# ranks (3, 5) (4704 pairs), the largest instance the tests, scripts and
-# benchmark build
-RELATION_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -191,18 +189,24 @@ def quiver_pluecker_relations(rep: QuiverRepresentation, a_idx):
 
 
 def _proportional(c1, c2):
-    if len(c1) != len(c2) or [m for m, _ in c1] != [m for m, _ in c2]:
-        return False
+    """Is one of two classical relations on the same monomials, in the same
+    order, a scalar multiple of the other?"""
     lead1, lead2 = c1[0][1], c2[0][1]
     return all(a * lead2 == b * lead1 for (_, a), (_, b) in zip(c1, c2))
 
 
 def _trop_projective_key(poly: TropPolynomial):
-    finite = [c for c, _ in poly.terms if c.is_finite]
-    shift = min(c.value for c in finite) if finite else 0
-    return tuple(
-        sorted((m, None if c.is_inf else c.value - shift) for c, m in poly.terms)
-    )
+    """poly up to a common shift of its coefficients, all finite (merged
+    from finite entries)."""
+    shift = min(c.value for c, _ in poly.terms)
+    return tuple(sorted((m, c.value - shift) for c, m in poly.terms))
+
+
+def _arrow_pairs(rep: QuiverRepresentation):
+    """(I, J) pairs, or (cocircuit, circuit) pairs, walked for all arrows:
+    C(n, r-1) * C(n, s+1) for an arrow from rank r to rank s."""
+    return sum(comb(rep.n, rep.dim[a.src] - 1) * comb(rep.n, rep.dim[a.dst] + 1)
+               for a in rep.arrows)
 
 
 def all_relations(rep: QuiverRepresentation):
@@ -214,15 +218,11 @@ def all_relations(rep: QuiverRepresentation):
     Returns a list of dicts with keys kind, where, I, J, classical,
     tropical.  Raises CapacityError, before generating anything, when more
     than RELATION_CAP (I, J) pairs would be walked: C(n, r-1) * C(n, r+1)
-    for a vertex of rank r, C(n, r-1) * C(n, s+1) for an arrow from rank r
-    to rank s.
+    for a vertex of rank r, plus the pairs of every arrow (_arrow_pairs).
     """
     n, dim = rep.n, rep.dim
     pairs = sum(comb(n, dim[v] - 1) * comb(n, dim[v] + 1) for v in rep.vertices)
-    pairs += sum(comb(n, dim[a.src] - 1) * comb(n, dim[a.dst] + 1) for a in rep.arrows)
-    if pairs > RELATION_CAP:
-        raise CapacityError("relation generation walks %d (I, J) pairs; the cap is %d"
-                            % (pairs, RELATION_CAP))
+    check_walk("relation generation", pairs + _arrow_pairs(rep), "(I, J) pairs")
     out = []
     seen_classical = {}  # monomial support -> classical relations kept
     seen_tropical = set()
@@ -298,6 +298,7 @@ def _relation_failure(rep: QuiverRepresentation, mus):
     whose tropical quiver Pluecker relation has a unique finite minimum, or
     None.  Arrows between distinct vertices go through the flat kernel;
     loops build their merged relations with the generator."""
+    check_walk("membership by relations", _arrow_pairs(rep), "(I, J) pairs")
     for a_idx, arrow in enumerate(rep.arrows):
         if arrow.src != arrow.dst:
             failing = _relation_kernel(
@@ -408,6 +409,9 @@ def containment_check(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid):
         raise ShapeError("matroids live on different ground sets")
     if a.n_rows != nu.n or a.n_cols != mu.n:
         raise ShapeError("matrix shape does not match the ground sets")
+    check_walk("containment check",
+               subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1),
+               "(cocircuit, circuit) pairs")
     circs = circuits(nu)
     for c_star in cocircuits(mu):
         circ = _violated_circuit(circs, trop_matvec(a, c_star))
@@ -427,6 +431,7 @@ def qdr_membership_via_containment(rep: QuiverRepresentation, mus):
 def _containment_failure(rep: QuiverRepresentation, mus):
     """The containment route's arrow stage: the first
     ("containment", arrow, (cocircuit, circuit)), or None."""
+    check_walk("membership by containment", _arrow_pairs(rep), "(cocircuit, circuit) pairs")
     for a_idx, arrow in enumerate(rep.arrows):
         ok, cert = containment_check(
             rep.trop_matrix(a_idx), mus[arrow.src], mus[arrow.dst]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,37 @@ class TestErrors:
         code, out = run(capsys, "relations", q)
         assert code == 2 and set(out) == {"command", "error"}
         assert "cap" in out["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["circuits", "m"],
+        ["cocircuits", "m"],
+        ["tls-member", "m", "point"],
+        ["induce", "m", "map"],
+        ["morphism-check", "map", "m", "m"],
+        ["containment-check", "identity", "m", "m"],
+        ["qdr-check", "quiver", "tuple"],
+        ["qdr-check", "--cross-check", "quiver", "tuple"],
+    ])
+    def test_subset_walks_past_the_cap(self, write, capsys, argv):
+        # 90 bytes of matroid: n = 30, rank 15, one finite basis; each walk
+        # would visit C(30, 14..16), about 1.5e8 subsets, or a product of two
+        identity = [["0" if i == j else "inf" for j in range(30)] for i in range(30)]
+        m = {"n": 30, "r": 15, "values": [[list(range(1, 16)), "0"]]}
+        files = {
+            "m": m,
+            "point": ["0"] * 30,
+            "map": {"n": 30, "f": [{"i": i, "to": i, "shift": "0"} for i in range(1, 31)]},
+            "identity": identity,
+            "quiver": {"n": 30, "vertices": ["u", "w"], "dim": {"u": 15, "w": 15},
+                       "arrows": [{"src": "u", "dst": "w", "matrix_trop": identity}]},
+            "tuple": {"u": m, "w": m},
+        }
+        argv = [write(a + ".json", files[a]) if a in files else a for a in argv]
+        start = time.monotonic()
+        code, out = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and set(out) == {"command", "error"}
+        assert "the cap is 20000" in out["error"]
 
     def test_oversized_integer(self, tmp_path, capsys):
         path = tmp_path / "m.json"

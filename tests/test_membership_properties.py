@@ -1,11 +1,11 @@
-"""What the two membership routes decide on arrows between two distinct
-vertices, as seeded properties.
+"""What the two membership routes decide, as seeded properties.
 
 The relation (I, J) of an arrow A from mu to nu has one term
 val(A_ij) + mu(I+j) + nu(J-i) per pair (i, j), and the relation route asks
 for its minimum to be attained twice.  The containment route evaluates
 the same terms grouped by target index i: it asks for the minimum to be
-attained at two distinct i.
+attained at two distinct i.  That holds on loops too, where the relation
+route first merges the terms that are one monomial.
 """
 
 import random
@@ -15,6 +15,7 @@ from tropquiver import (
     FieldMatrix,
     QuiverRepresentation,
     RepArrow,
+    TropMatrix,
     is_valuated_matroid,
     pluecker_valuations,
     qdr_cross_check,
@@ -25,8 +26,8 @@ from tropquiver import (
 from tropquiver.puiseux import rank_via_minors
 from tropquiver.trop import min_attained_twice, trop_sum
 
-from helpers import rand_field_matrix, rand_realization, rand_weakly_monomial
-from test_qdr_reference import random_arrow_instance
+from helpers import rand_arrow, rand_field_matrix, rand_realization, rand_weakly_monomial
+from test_qdr_reference import rand_matroid, random_arrow_instance
 
 
 def grouped_rule(rep, mus):
@@ -60,6 +61,30 @@ def test_grouped_rule_is_the_containment_route():
         assert grouped == qdr_membership_via_containment(rep, mus)[0], (rep.arrows, mus)
         gaps += qdr_membership(rep, mus)[0] and not grouped
     # the rules differ on these instances, so the identity is not vacuous
+    assert gaps > 0
+
+
+def random_loop_instance(rng, k):
+    """One loop v -> v on [n], n <= 4, with random layers, every third one
+    the tropical identity, and a random matroid."""
+    n = rng.randint(1, 4)
+    r = rng.randint(1, n)
+    arrow = (RepArrow("v", "v", trop=TropMatrix.identity(n)) if k % 3 == 0
+             else rand_arrow(rng, n, "v", "v"))
+    return QuiverRepresentation(n, ["v"], [arrow], {"v": r}), {"v": rand_matroid(rng, r, n)}
+
+
+def test_grouped_rule_is_the_containment_route_on_loops():
+    rng = random.Random(20231215)
+    layers, gaps = set(), 0
+    for k in range(600):
+        rep, mus = random_loop_instance(rng, k)
+        grouped = grouped_rule(rep, mus)
+        assert grouped == qdr_membership_via_containment(rep, mus)[0], (rep.arrows, mus)
+        gaps += qdr_membership(rep, mus)[0] != grouped
+        layers.add(rep.arrows[0].field is not None)
+    assert layers == {True, False}
+    # the relation route differs on loops, so the identity is not vacuous
     assert gaps > 0
 
 

@@ -324,6 +324,47 @@ class TestContainment:
         assert qdr_membership_via_containment(rep, mus) == (True, None)
 
 
+class TestNonrealizablePoint:
+    """The paper's last claim in ambient dimension 2: a point of the quiver
+    Dressian that is not realizable for this lift.  One vertex of dimension
+    1 carries the loop A = diag(1, 1+t), whose valuation is the tropical
+    identity.  For a loop [[a, b], [c, d]] in dimension 1 the quiver
+    Grassmannian (the lines A maps into themselves) is cut out by the one
+    quadratic c x1^2 + (d - a) x1 x2 - b x2^2, here t x1 x2: the invariant
+    lines are e1 and e2 only.  Its tropicalization has a unique minimum at
+    every point with both coordinates finite, over any extension of the
+    field, so such a point is certifiably not realizable."""
+
+    rep = QuiverRepresentation(
+        2, ["v"], [RepArrow("v", "v", field=FieldMatrix([[one, zero], [zero, one + t]]))],
+        {"v": 1},
+    )
+
+    def test_the_field_relation_is_the_quadratic(self):
+        (i_set, j_set, classical, _), = quiver_pluecker_relations(self.rep, 0)
+        assert (i_set, j_set) == ((), (1, 2))
+        assert classical == (((("v", (1,)), ("v", (2,))), t),)
+
+    def test_the_relation_certifies_every_finite_point(self):
+        for point in ([0, 0], [0, 5], [3, Fraction(-1, 2)]):
+            mus = {"v": rank1_matroid(2, point)}
+            assert qdr_membership(self.rep, mus) == (False, ("relation", 0, (), (1, 2)))
+        # val(A) is the tropical identity, which maps every tropical linear
+        # space into itself: (0, 0) is a point of the quiver Dressian
+        mus = {"v": rank1_matroid(2, [0, 0])}
+        assert qdr_membership_via_containment(self.rep, mus) == (True, None)
+
+    def test_only_the_coordinate_lines_are_realizable(self):
+        for row, ok in (([1, 0], True), ([0, 1], True), ([one, one], False), ([one, t], False)):
+            witness = {"v": FieldMatrix([row])}
+            mus = {"v": pluecker_valuations(witness["v"])}
+            got = trop_qgr_witness_check(self.rep, mus, witness)
+            assert got == ((True, None) if ok else (False, ("subrepresentation", 0)))
+            if ok:
+                assert qdr_membership(self.rep, mus) == (True, None)
+                assert qdr_membership_via_containment(self.rep, mus) == (True, None)
+
+
 class TestFlagMode:
     def test_uniform_flag(self):
         mus = [uniform_matroid(4, 1), uniform_matroid(4, 2), uniform_matroid(4, 3)]
@@ -387,6 +428,11 @@ class TestValidation:
         assert all_relations(rep(most)) == []
         with pytest.raises(CapacityError):
             all_relations(rep(most + 1))
+
+    def test_rank_zero_source_walks_no_pairs(self):
+        # C(n, r - 1) counts as 0 for r = 0: no cocircuit, nothing to contain
+        mu = ValuatedMatroid(3, 0, {(): 0})
+        assert containment_check(TropMatrix.identity(3), mu, uniform_matroid(3, 2)) == (True, None)
 
     def test_tuple_must_cover_vertices(self):
         rep = kronecker_rep()

@@ -11,7 +11,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize("argv", [
     ["scripts/run_examples.py"],
-    ["scripts/route_gap_search.py", "--instances", "50"],
 ])
 def test_script_exits_cleanly(argv):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
