@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Print one sha256 over the command line's output on a fixed set of
+inputs, so that two versions of the library can be compared byte for byte.
+
+    PYTHONPATH=src python3 scripts/cli_golden.py --seeds 1 2 3
+
+tropquiver is imported from PYTHONPATH, so pointing it at another
+checkout's src/ gives that version's digest.  Everything runs in process:
+
+- every op of the benchmark's cli_mixed cycle for each seed, on the
+  fixtures that bench/workloads.build_cli_mixed writes into a temporary
+  directory;
+- --help for the top level and for every subcommand;
+- inputs that exit 2: malformed JSON, a missing file, and one input past
+  the cap of each capped walk.
+
+elapsed_ms is masked and input paths are reduced to their base names.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from itertools import combinations
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from tropquiver import cli  # noqa: E402
+from workloads import build_cli_mixed  # noqa: E402
+
+
+def _identity(n):
+    return [["0" if i == j else "inf" for j in range(n)] for i in range(n)]
+
+
+def _uniform(n, r):
+    return {"n": n, "r": r,
+            "values": [[list(b), "0"] for b in combinations(range(1, n + 1), r)]}
+
+
+# n = 30, rank 15, one finite basis: every subset walk is far past the cap;
+# U(12, 6) has 924 bases, past the cap of the exchange walk
+M30 = {"n": 30, "r": 15, "values": [[list(range(1, 16)), "0"]]}
+Q30 = {"n": 30, "vertices": ["u", "w"], "dim": {"u": 15, "w": 15},
+       "arrows": [{"src": "u", "dst": "w", "matrix_trop": _identity(30)}]}
+OVER_CAP = [
+    ("circuits", [("m30", M30)]),
+    ("cocircuits", [("m30", M30)]),
+    ("tls-member", [("m30", M30), ("point30", ["0"] * 30)]),
+    ("induce", [("m30", M30), ("map30", {"n": 30, "f": [
+        {"i": i, "to": i, "shift": "0"} for i in range(1, 31)]})]),
+    ("containment-check", [("identity30", _identity(30)), ("m30", M30), ("m30", M30)]),
+    ("qdr-check", [("quiver30", Q30), ("tuple30", {"u": M30, "w": M30})]),
+    ("relations", [("quiver30", Q30)]),
+    ("check-matroid", [("u12_6", _uniform(12, 6))]),
+]
+
+
+def _normalized(code, text, directory):
+    """[exit code, output], with elapsed_ms masked and directory cut from
+    every path."""
+    text = text.replace(directory + os.sep, "")
+    try:
+        verdict = json.loads(text)
+    except ValueError:  # --help
+        return [code, text]
+    if "elapsed_ms" in verdict:
+        verdict["elapsed_ms"] = "masked"
+    return [code, verdict]
+
+
+def _run(argv, directory):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    return _normalized(code, buf.getvalue(), directory)
+
+
+def records(seeds):
+    """[label, exit code, output] for every input, in a fixed order."""
+    out = []
+    with tempfile.TemporaryDirectory() as workdir:
+        directory = os.path.join(workdir, "fixtures")  # where build_cli_mixed writes
+        for seed in seeds:
+            for slot in build_cli_mixed(random.Random("cli_mixed:%d" % seed), workdir):
+                out.append(["cli_mixed:%d:%s" % (seed, slot.label)]
+                           + _normalized(*slot.run(), directory))
+        for name in [None] + list(cli.COMMANDS):
+            argv = ["--help"] if name is None else [name, "--help"]
+            out.append([" ".join(argv)] + _run(argv, directory))
+        errors = [("check-matroid", [("malformed", '{"n": 3, "r": ')]),
+                  ("check-matroid", [("missing", None)])] + OVER_CAP
+        for command, files in errors:
+            argv = [command]
+            for name, data in files:
+                argv.append(os.path.join(directory, name + ".json"))
+                if data is not None:
+                    with open(argv[-1], "w") as fh:
+                        fh.write(data if isinstance(data, str) else json.dumps(data))
+            out.append([" ".join([command] + [name for name, _ in files])]
+                       + _run(argv, directory))
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3],
+                        help="cli_mixed seeds (default: 1 2 3)")
+    args = parser.parse_args()
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
+    recs = records(args.seeds)
+    text = json.dumps(recs, sort_keys=True, separators=(",", ":"))
+    print("%s  %d records" % (hashlib.sha256(text.encode()).hexdigest(), len(recs)))
+
+
+if __name__ == "__main__":
+    main()

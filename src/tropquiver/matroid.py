@@ -7,26 +7,24 @@ constructions care about the actual values; comparisons that are only
 meaningful projectively normalize on the fly.  The exchange axiom is
 *not* enforced at construction: wrap a candidate table and interrogate it
 with :func:`is_valuated_matroid`.  One exchange kernel serves it and
-:func:`quotient_check`: it walks the finite support only and compares
-lcm-scaled ints, which is still exact.  Every walk over the subsets of
-the ground set is counted before it starts, against WALK_CAP.
+:func:`quotient_check`, walking pairs of finite bases.  One walk serves
+both membership routes: is the minimum of val(A_ij) + c_j + C_i, over a
+cocircuit-side c and a circuit-side C, attained twice, counting every
+term (relations) or each target index i once (containment, circuits,
+cocircuits, tls_membership)?  Both kernels compare lcm-scaled ints over
+bitmasks, which is still exact.  Every walk over subsets, or pairs of
+subsets or bases, is counted before it starts, against WALK_CAP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
 from .errors import CapacityError, NotAMatroidError, ShapeError, UsageError
-from .trop import (
-    INF,
-    TropValue,
-    TropVector,
-    min_attained_twice,
-    projective_normalize,
-    trop_sum,
-)
+from .trop import INF, TropMatrix, TropValue, TropVector, trop_sum
 
 
 # most subsets, or pairs of subsets, one call walks; about four times the
@@ -125,17 +123,13 @@ def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
     """The lexicographically least (I, J, i) with i in I - J and
     mu(I) + nu(J) < mu(I - i + j) + nu(J - j + i) for every j in J - I, or
     None.  Walks only pairs of finite bases (an infinite left-hand side
-    never violates), in sorted order, which is the order of combinations.
-    Subsets become bitmasks, and values become ints by scaling with the lcm
-    of all denominators, which keeps every sum and comparison exact.
+    never violates), in sorted order, which is the order of combinations;
+    the pairs are counted against WALK_CAP first.
     """
-    scale = lcm(*(v.value.denominator for m in (mu, nu) for v in m._finite.values()))
-    left, right = (
-        [(b, sum(1 << e for e in b), v.value.numerator * (scale // v.value.denominator))
-         for b, v in sorted(m._finite.items())]
-        for m in (mu, nu)
-    )
-    mu_at, nu_at = ({mask: x for _, mask, x in t} for t in (left, right))
+    check_walk("exchange check", len(mu._finite) * len(nu._finite), "pairs of bases")
+    _, (mu_at, nu_at) = _int_tables((mu, nu))
+    left, right = ([(b, _mask(b), at[_mask(b)]) for b in sorted(m._finite)]
+                   for m, at in ((mu, mu_at), (nu, nu_at)))
     for i_set, i_mask, x in left:
         for j_set, j_mask, y in right:
             lhs = x + y
@@ -155,65 +149,145 @@ def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
     return None
 
 
-def _dedupe_projective(vectors):
-    """Drop all-infinite vectors and projective duplicates, keeping the
-    raw (unnormalized) representatives in a deterministic order."""
-    seen = set()
+# The kernels below encode subsets as bitmasks and values as ints: every
+# value is scaled by the lcm of all denominators in play, which keeps each
+# sum and comparison exact.
+
+def _mask(subset):
+    return sum(1 << e for e in subset)
+
+
+def _scaled(x, scale):
+    return x.numerator * (scale // x.denominator)
+
+
+def _int_tables(matroids, extra=()):
+    """The lcm of the denominators of the matroids' values and of the
+    extra Fractions, and each matroid's finite table as {bitmask: int}
+    scaled by it."""
+    scale = lcm(*(x.denominator for x in extra),
+                *(v.value.denominator for m in matroids for v in m._finite.values()))
+    return scale, [{_mask(b): _scaled(v.value, scale) for b, v in m._finite.items()}
+                   for m in matroids]
+
+
+def _subset_vectors(n, size, at, members, grouped):
+    """(S, vector) for each size-subset S of [n] in combinations order,
+    the vector as the dict of its finite entries, from a matroid given as
+    {bitmask: int}: with members, the circuit C_i = m(S - i) at i in S
+    (size r + 1); without, the cocircuit c_j = m(S + j) at j outside S
+    (size r - 1).  Empty vectors are dropped.  grouped keeps one vector per
+    projective class, the first S's, sorted by raw entries with infinity
+    last: the order of circuits() and cocircuits()."""
+    ground = range(1, n + 1)
     out = []
-    for v in vectors:
-        if v.is_all_inf:
-            continue
-        key = projective_normalize(v)
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    out.sort(key=lambda v: tuple((e.is_inf, e.value or 0) for e in v))
+    for s in combinations(ground, size) if size >= 0 else ():
+        mask = _mask(s)
+        vec = {e: at[mask ^ 1 << e] for e in ground
+               if (mask >> e & 1) == members and mask ^ 1 << e in at}
+        if vec:
+            out.append((s, vec))
+    if grouped:
+        classes = {}  # projective class -> its first (S, vector)
+        for s, vec in out:
+            low = min(vec.values())
+            classes.setdefault(tuple((e, x - low) for e, x in vec.items()), (s, vec))
+        out = sorted(classes.values(), key=lambda item: tuple(
+            (0, item[1][e]) if e in item[1] else (1, 0) for e in ground))
     return out
 
 
-def _subset_vectors(m: ValuatedMatroid, size, what, coordinate):
-    """One vector per size-subset S of [n], coordinate(S, i) at each i,
-    projectively deduplicated."""
+def _unique_minimum(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid, grouped):
+    """The first pair, in walk order, of a cocircuit-side vector c_I of mu
+    and a circuit-side vector C_J of nu whose terms val(A_ij) + c_j + C_i
+    have a finite minimum attained once, as ((I, c_I), (J, C_J)) with
+    TropVectors, or None.
+
+    Without grouped these are the terms of the quiver Pluecker relation
+    (I, J) of an arrow between two distinct vertices: every term counts,
+    and every I and J is walked in combinations order.  With grouped each
+    target index i counts once, and the vectors are those of cocircuits()
+    and circuits(), in their order: the test of the image val(A) (.) c*
+    against nu's circuits.  For each I the terms are grouped by i into
+    (minimum over j, how many j attain it); each J then combines the groups
+    of its entries in O(|J|).
+    """
+    entries = [(i, j, v.value) for i, row in enumerate(a.rows, 1)
+               for j, v in enumerate(row, 1) if v.is_finite]
+    scale, (mu_at, nu_at) = _int_tables((mu, nu), [x for _, _, x in entries])
+    columns = {}
+    for i, j, x in entries:
+        columns.setdefault(j, []).append((i, _scaled(x, scale)))
+    targets = _subset_vectors(nu.n, nu.r + 1, nu_at, members=True, grouped=grouped)
+    for i_set, c in _subset_vectors(mu.n, mu.r - 1, mu_at, members=False, grouped=grouped):
+        best = {}  # i -> [min over j of A_ij + c_j, how many j attain it]
+        for j, x in c.items():
+            for i, a_ij in columns.get(j, ()):
+                t = a_ij + x
+                b = best.get(i)
+                if b is None or t < b[0]:
+                    best[i] = [t, 1]
+                elif t == b[0] and not grouped:
+                    b[1] += 1
+        if not best:
+            continue
+        for j_set, circ in targets:
+            low, count = None, 0
+            for i, y in circ.items():
+                b = best.get(i)
+                if b is not None:
+                    t = b[0] + y
+                    if low is None or t < low:
+                        low, count = t, b[1]
+                    elif t == low:
+                        count += b[1]
+            if count == 1:
+                return ((i_set, _trop_vector(mu.n, c, scale)),
+                        (j_set, _trop_vector(nu.n, circ, scale)))
+    return None
+
+
+def _trop_vector(n, vec, scale):
+    """The TropVector of an int vector as _subset_vectors builds it."""
+    return TropVector(tuple(Fraction(vec[e], scale) if e in vec else INF
+                            for e in range(1, n + 1)))
+
+
+def _vectors(m: ValuatedMatroid, size, what, members):
     check_walk(what, subset_count(m.n, size))
-    ground = range(1, m.n + 1)
-    return _dedupe_projective(
-        [TropVector(tuple(coordinate(s, i) for i in ground)) for s in combinations(ground, size)]
-    )
+    scale, (at,) = _int_tables((m,))
+    return [_trop_vector(m.n, vec, scale)
+            for _, vec in _subset_vectors(m.n, size, at, members, grouped=True)]
 
 
 def circuits(m: ValuatedMatroid):
     """Valuated circuits, projectively deduplicated."""
-    return _subset_vectors(m, m.r + 1, "circuit enumeration", lambda big, i: (
-        m.value(tuple(e for e in big if e != i)) if i in big else INF))
+    return _vectors(m, m.r + 1, "circuit enumeration", members=True)
 
 
 def cocircuits(m: ValuatedMatroid):
     """Valuated cocircuits, projectively deduplicated."""
-    if m.r == 0:
-        return []
-    return _subset_vectors(m, m.r - 1, "cocircuit enumeration", lambda small, i: (
-        INF if i in small else m.value(small + (i,))))
+    return _vectors(m, m.r - 1, "cocircuit enumeration", members=False)
 
 
 def tls_membership(m: ValuatedMatroid, x: TropVector):
     """Does x lie in the tropical linear space of m?
 
     Checks the min-attained-twice condition against every circuit;
-    returns (bool, violating_circuit_or_None).
+    returns (bool, violating_circuit_or_None).  x is the one cocircuit of
+    the rank-1 matroid with values x, whose tropical linear space is x, so
+    this is the containment test of that matroid under the identity.
     """
     if len(x) != m.n:
         raise ShapeError("point has length %d, ground set has size %d" % (len(x), m.n))
-    circ = _violated_circuit(circuits(m), x)
-    return circ is None, circ
-
-
-def _violated_circuit(circs, x):
-    """The first of the precomputed circuits whose min-attained-twice
-    condition the point x breaks, or None."""
-    for c in circs:
-        if not min_attained_twice([ci + xi for ci, xi in zip(c, x)]):
-            return c
-    return None
+    check_walk("circuit enumeration", subset_count(m.n, m.r + 1))
+    if x.is_all_inf:
+        return True, None  # every term is infinite
+    point = ValuatedMatroid(m.n, 1, {(i,): e for i, e in enumerate(x, 1)})
+    hit = _unique_minimum(TropMatrix.identity(m.n), point, m, grouped=True)
+    if hit is None:
+        return True, None
+    return False, hit[1][1]
 
 
 def quotient_check(mu: ValuatedMatroid, nu: ValuatedMatroid):

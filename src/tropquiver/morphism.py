@@ -16,9 +16,7 @@ from itertools import combinations
 from .errors import ShapeError, UsageError
 from .matroid import (
     ValuatedMatroid,
-    _violated_circuit,
     check_walk,
-    circuits,
     cocircuits,
     delete,
     quotient_check,
@@ -27,6 +25,7 @@ from .matroid import (
 )
 from .puiseux import FieldMatrix, PuiseuxElement, valuation
 from .puiseux import ZERO as F_ZERO
+from .quiver import containment_check
 from .trop import INF, TropMatrix, TropValue, trop_matvec, trop_span_membership
 
 O = 0  # the distinguished origin element
@@ -238,20 +237,23 @@ def image_equals_induced(f: GroundSetMap, mu: ValuatedMatroid):
     """Verify trop(f^{-1}(mu)) = val(A_f) (.) trop(mu) by generators:
     every cocircuit of the induced matroid must lie in the tropical span
     of the matrix images of mu's cocircuits, and every such image must
-    satisfy the circuit conditions of the induced matroid."""
+    satisfy the circuit conditions of the induced matroid, which is
+    containment_check of mu under val(A_f) in the induced matroid.  Each
+    half counts its (cocircuit, generator) or (cocircuit, circuit) pairs
+    against WALK_CAP before it starts."""
     _, a_trop = associated_matrix(f)
     ind = affine_induced_unpointed(mu, f)
-    images = [trop_matvec(a_trop, c) for c in cocircuits(mu)]
-    usable = [y for y in images if not y.is_all_inf]
+    check_walk("span check", subset_count(f.n, ind.r - 1) * subset_count(f.n, mu.r - 1),
+               "(cocircuit, generator) pairs")
+    usable = [y for y in (trop_matvec(a_trop, c) for c in cocircuits(mu)) if not y.is_all_inf]
     for c in cocircuits(ind):
         if not usable:
             return False, ("no-generators", c)
         ok, _, coord = trop_span_membership(usable, c, projective=True)
         if not ok:
             return False, ("span", c, coord)
-    circs = circuits(ind)
-    for y in images:
-        circ = _violated_circuit(circs, y)
-        if circ is not None:
-            return False, ("circuit", y, circ)
+    ok, cert = containment_check(a_trop, mu, ind)
+    if not ok:
+        c_star, circ = cert
+        return False, ("circuit", trop_matvec(a_trop, c_star), circ)
     return True, None

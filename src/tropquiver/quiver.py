@@ -8,28 +8,27 @@ layer (its entrywise valuation), or both.  Relation variables are labeled
 (vertex, subset) so that a tuple of valuated matroids keyed by vertex
 names gives an assignment directly.
 
-Membership by relations evaluates an arrow between two distinct vertices
-term by term, val(A_ij) + mu(I+j) + nu(J-i), without generating its
-relations: the monomial p_{I+j} q_{J-i} fixes both j and i, so no two
-terms can merge.  Only loops, whose terms can share a monomial, go through
-the relation generator.
+Both membership routes evaluate an arrow by the terms
+val(A_ij) + mu(I+j) + nu(J-i) in matroid's one integer walk: relations
+count every term, containment each target index i once.  Between two
+distinct vertices no two terms merge, since the monomial p_{I+j} q_{J-i}
+fixes both j and i; only loops, whose terms can share a monomial, go
+through the relation generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from typing import Optional
 
 from .errors import ShapeError, UsageError
 from .matroid import (
     WALK_CAP as RELATION_CAP,  # the cap all_relations counts against
     ValuatedMatroid,
-    _violated_circuit,
+    _unique_minimum,
     check_walk,
-    circuits,
-    cocircuits,
     is_valuated_matroid,
     quotient_check,
     subset_count,
@@ -43,7 +42,7 @@ from .puiseux import (
     pluecker_valuations,
     valuation,
 )
-from .trop import INF, TropMatrix, TropPolynomial, trop_matvec, trop_poly_vanishes
+from .trop import INF, TropMatrix, TropPolynomial, trop_poly_vanishes
 
 
 @dataclass(frozen=True)
@@ -296,16 +295,16 @@ def _matroid_failure(rep: QuiverRepresentation, mus):
 def _relation_failure(rep: QuiverRepresentation, mus):
     """The relation route's arrow stage: the first ("relation", arrow, I, J)
     whose tropical quiver Pluecker relation has a unique finite minimum, or
-    None.  Arrows between distinct vertices go through the flat kernel;
-    loops build their merged relations with the generator."""
+    None.  Arrows between distinct vertices go through the integer walk,
+    counting every term; loops build their merged relations with the
+    generator."""
     check_walk("membership by relations", _arrow_pairs(rep), "(I, J) pairs")
     for a_idx, arrow in enumerate(rep.arrows):
         if arrow.src != arrow.dst:
-            failing = _relation_kernel(
-                rep.trop_matrix(a_idx), mus[arrow.src], mus[arrow.dst]
-            )
-            if failing is not None:
-                return ("relation", a_idx) + failing
+            hit = _unique_minimum(rep.trop_matrix(a_idx), mus[arrow.src], mus[arrow.dst],
+                                  grouped=False)
+            if hit is not None:
+                return "relation", a_idx, hit[0][0], hit[1][0]
             continue
         for i_set, j_set, _, tropical in quiver_pluecker_relations(rep, a_idx):
             if not trop_poly_vanishes(tropical, _assignment(mus, tropical)):
@@ -331,79 +330,13 @@ def qdr_membership(rep: QuiverRepresentation, mus):
     return cert is None, cert
 
 
-def _relation_kernel(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid):
-    """The first (I, J) in the generator's order whose tropical quiver
-    Pluecker relation for an arrow between two distinct vertices has a
-    finite minimum attained by a single term, or None.
-
-    The terms are val(A_ij) + mu(I+j) + nu(J-i) for j not in I and i in J,
-    one per pair (i, j): the monomial p_{I+j} q_{J-i} fixes both j and i,
-    so nothing merges.  For each I the terms are grouped by target index i
-    into (minimum over j, number of j attaining it); each J then combines
-    the groups of its members with nu(J-i) in O(|J|).  Subsets are
-    bitmasks, and values become ints by scaling with the lcm of all
-    denominators, as in the exchange kernel.
-    """
-    entries = [(i, j, v.value) for i, row in enumerate(a.rows, 1)
-               for j, v in enumerate(row, 1) if v.is_finite]
-    scale = lcm(*(x.denominator for _, _, x in entries),
-                *(v.value.denominator for m in (mu, nu) for v in m._finite.values()))
-
-    def scaled(x):
-        return x.numerator * (scale // x.denominator)
-
-    mu_at, nu_at = ({sum(1 << e for e in b): scaled(v.value) for b, v in m._finite.items()}
-                    for m in (mu, nu))
-    columns = {}
-    for i, j, x in entries:
-        columns.setdefault(j, []).append((i, scaled(x)))
-    columns = sorted(columns.items())
-    # per J, its members i with a finite nu(J-i)
-    targets = []
-    for j_set in combinations(range(1, a.n_rows + 1), nu.r + 1):
-        j_mask = sum(1 << e for e in j_set)
-        row = [(i, nu_at[j_mask ^ 1 << i]) for i in j_set if j_mask ^ 1 << i in nu_at]
-        if row:
-            targets.append((j_set, row))
-    for i_set in combinations(range(1, a.n_cols + 1), mu.r - 1):
-        i_mask = sum(1 << e for e in i_set)
-        best = {}  # i -> [min over j of A_ij + mu(I+j), how many j attain it]
-        for j, column in columns:
-            if i_mask >> j & 1:
-                continue
-            x = mu_at.get(i_mask | 1 << j)
-            if x is None:
-                continue
-            for i, a_ij in column:
-                t = a_ij + x
-                b = best.get(i)
-                if b is None or t < b[0]:
-                    best[i] = [t, 1]
-                elif t == b[0]:
-                    b[1] += 1
-        if not best:
-            continue
-        for j_set, row in targets:
-            low, count = None, 0
-            for i, y in row:
-                b = best.get(i)
-                if b is not None:
-                    t = b[0] + y
-                    if low is None or t < low:
-                        low, count = t, b[1]
-                    elif t == low:
-                        count += b[1]
-            if count == 1:
-                return i_set, j_set
-    return None
-
-
 def containment_check(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid):
     """Is val(A) (.) trop(mu) contained in trop(nu)?
 
     The image is tropically generated by the images of mu's cocircuits, so
-    it suffices to test each image against nu's circuits.  Returns
-    (bool, (cocircuit, violating_circuit) or None).
+    it suffices to test each image against nu's circuits, in the walk that
+    counts each target index once.  Returns (bool, (cocircuit,
+    violating_circuit) or None).
     """
     if mu.n != nu.n:
         raise ShapeError("matroids live on different ground sets")
@@ -412,12 +345,10 @@ def containment_check(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid):
     check_walk("containment check",
                subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1),
                "(cocircuit, circuit) pairs")
-    circs = circuits(nu)
-    for c_star in cocircuits(mu):
-        circ = _violated_circuit(circs, trop_matvec(a, c_star))
-        if circ is not None:
-            return False, (c_star, circ)
-    return True, None
+    hit = _unique_minimum(a, mu, nu, grouped=True)
+    if hit is None:
+        return True, None
+    return False, (hit[0][1], hit[1][1])
 
 
 def qdr_membership_via_containment(rep: QuiverRepresentation, mus):

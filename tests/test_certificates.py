@@ -1,4 +1,5 @@
-"""An independent checker for the certificates of the membership routes.
+"""An independent checker for the certificates of the membership routes
+and of tls_membership.
 
 Each certificate is checked against its definition, from raw values:
 ``ValuatedMatroid.value`` gives a Fraction or None (infinity) per subset,
@@ -12,10 +13,11 @@ import random
 from collections import Counter
 from itertools import combinations
 
-from tropquiver import qdr_cross_check
+from tropquiver import TropVector, qdr_cross_check, tls_membership
 
+from helpers import rand_trop_value
 from test_membership_properties import random_loop_instance
-from test_qdr_reference import perturbed_chain_instance, random_arrow_instance
+from test_qdr_reference import perturbed_chain_instance, rand_matroid, random_arrow_instance
 
 
 def val(m, subset):
@@ -122,3 +124,21 @@ def test_every_certificate_checks_out():
             kinds[cert[0]] += 1
             assert certificate_holds(rep, mus, cert), (rep.arrows, mus, cert)
     assert set(kinds) == {"matroid", "relation", "containment"}, kinds
+
+
+def test_every_tls_membership_certificate_checks_out():
+    rng = random.Random(20231221)
+    rejected = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        m = rand_matroid(rng, rng.randint(1, n), n)
+        x = TropVector([rand_trop_value(rng) for _ in range(n)])
+        ok, circ = tls_membership(m, x)
+        if ok:
+            assert circ is None
+            continue
+        rejected += 1
+        circ, point = [e.value for e in circ], [e.value for e in x]
+        assert any(projectively_equal(circ, c) for c in circuit_vectors(m)), (m, x, circ)
+        assert unique_minimum([add(c, p) for c, p in zip(circ, point)]), (m, x, circ)
+    assert rejected >= 50, rejected

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -304,6 +305,36 @@ class TestErrors:
         assert time.monotonic() - start < 1.0
         assert code == 2 and set(out) == {"command", "error"}
         assert "the cap is 20000" in out["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["check-matroid", "m"],
+        ["quotient", "m", "m"],
+        ["flag-check", "flag"],
+        ["morphism-check", "map", "m", "m"],
+        ["qdr-check", "quiver", "tuple"],
+    ])
+    def test_exchange_walk_past_the_cap(self, write, capsys, argv):
+        # the uniform matroid U(12, 6), 26 KB: 924 bases, so 853776 pairs of
+        # bases for the exchange axiom (792 * 924 for the flag)
+        def uniform(r):
+            return {"n": 12, "r": r, "values": [[list(b), "0"] for b in combinations(range(1, 13), r)]}
+
+        m = uniform(6)
+        files = {
+            "m": m,
+            "flag": [uniform(5), m],
+            "map": {"n": 12, "f": [{"i": i, "to": i, "shift": "0"} for i in range(1, 13)]},
+            "quiver": {"n": 12, "vertices": ["u", "w"], "dim": {"u": 6, "w": 6},
+                       "arrows": [{"src": "u", "dst": "w", "matrix_field": [
+                           ["1" if i == j else "0" for j in range(12)] for i in range(12)]}]},
+            "tuple": {"u": m, "w": m},
+        }
+        argv = [write(a + ".json", files[a]) if a in files else a for a in argv]
+        start = time.monotonic()
+        code, out = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and set(out) == {"command", "error"}
+        assert "pairs of bases; the cap is 20000" in out["error"]
 
     def test_oversized_integer(self, tmp_path, capsys):
         path = tmp_path / "m.json"

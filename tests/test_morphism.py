@@ -1,6 +1,7 @@
 """Ground-set maps, affine induced matroids, weakly monomial matrices."""
 
 import random
+import time
 
 import pytest
 
@@ -24,7 +25,7 @@ from tropquiver import (
     trop_matvec,
     uniform_matroid,
 )
-from tropquiver.errors import UsageError
+from tropquiver.errors import CapacityError, UsageError
 from tropquiver.morphism import matrix_product
 
 from helpers import rand_realization, rand_weakly_monomial
@@ -167,6 +168,14 @@ class TestImageEqualsInduced:
             _, f = rand_weakly_monomial(rng, n)
             _, mu = rand_realization(rng, rng.randint(1, min(3, n)), n)
             assert image_equals_induced(f, mu)[0]
+
+    def test_pairs_past_the_cap(self):
+        # 792 cocircuits of the induced matroid times 792 generators: each
+        # list is under the cap, the pairs are not
+        start = time.monotonic()
+        with pytest.raises(CapacityError, match="the cap is 20000"):
+            image_equals_induced(GroundSetMap.identity(12), uniform_matroid(12, 6))
+        assert time.monotonic() - start < 1.0
 
 
 class TestAffineMorphism:

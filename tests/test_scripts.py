@@ -11,6 +11,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize("argv", [
     ["scripts/run_examples.py"],
+    ["scripts/cli_golden.py", "--seeds", "1"],
 ])
 def test_script_exits_cleanly(argv):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
