@@ -247,6 +247,27 @@ def _unique_minimum(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid, gro
     return None
 
 
+def containment_check(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid):
+    """Is val(A) (.) trop(mu) contained in trop(nu)?
+
+    The image is tropically generated by the images of mu's cocircuits, so
+    it suffices to test each image against nu's circuits, in the walk that
+    counts each target index once.  Returns (bool, (cocircuit,
+    violating_circuit) or None).
+    """
+    if mu.n != nu.n:
+        raise ShapeError("matroids live on different ground sets")
+    if a.n_rows != nu.n or a.n_cols != mu.n:
+        raise ShapeError("matrix shape does not match the ground sets")
+    check_walk("containment check",
+               subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1),
+               "(cocircuit, circuit) pairs")
+    hit = _unique_minimum(a, mu, nu, grouped=True)
+    if hit is None:
+        return True, None
+    return False, (hit[0][1], hit[1][1])
+
+
 def _trop_vector(n, vec, scale):
     """The TropVector of an int vector as _subset_vectors builds it."""
     return TropVector(tuple(Fraction(vec[e], scale) if e in vec else INF
@@ -276,7 +297,8 @@ def tls_membership(m: ValuatedMatroid, x: TropVector):
     Checks the min-attained-twice condition against every circuit;
     returns (bool, violating_circuit_or_None).  x is the one cocircuit of
     the rank-1 matroid with values x, whose tropical linear space is x, so
-    this is the containment test of that matroid under the identity.
+    this is the circuit half of containment_check of that matroid under
+    the identity.
     """
     if len(x) != m.n:
         raise ShapeError("point has length %d, ground set has size %d" % (len(x), m.n))
@@ -284,10 +306,8 @@ def tls_membership(m: ValuatedMatroid, x: TropVector):
     if x.is_all_inf:
         return True, None  # every term is infinite
     point = ValuatedMatroid(m.n, 1, {(i,): e for i, e in enumerate(x, 1)})
-    hit = _unique_minimum(TropMatrix.identity(m.n), point, m, grouped=True)
-    if hit is None:
-        return True, None
-    return False, hit[1][1]
+    ok, cert = containment_check(TropMatrix.identity(m.n), point, m)
+    return ok, None if ok else cert[1]
 
 
 def quotient_check(mu: ValuatedMatroid, nu: ValuatedMatroid):
@@ -309,33 +329,23 @@ def add_loop(m: ValuatedMatroid) -> ValuatedMatroid:
     return ValuatedMatroid(m.n + 1, m.r, m.table())
 
 
-def _delete_from_table(table, labels, e):
-    """One deletion step on a raw label -> value table.  Returns
-    (table, labels) over labels minus e; rank drops iff e is a coloop."""
-    keep = {b: v for b, v in table.items() if e not in b}
-    if keep:
-        return keep, [l for l in labels if l != e]
-    # e lies in every basis: coloop, contract the rank down
-    dropped = {
-        tuple(x for x in b if x != e): v for b, v in table.items() if e in b
-    }
-    return dropped, [l for l in labels if l != e]
-
-
 def restrict_table(m: ValuatedMatroid, keep):
-    """Restriction of m to a label subset via iterated deletion minors.
+    """Restriction of m to a label subset, as (rank, table) with the table
+    keys in the original labels; used by the affine-induced construction.
 
-    Returns (rank, table) where the table keys still use the original
-    labels.  Used by the affine-induced construction.
+    Deleting the elements outside keep in increasing order keeps, at each,
+    the bases avoiding it if any does, and otherwise every basis with it
+    dropped (a coloop).  So the survivors are the bases whose membership
+    vector on the deleted elements (in that order, False before True) is
+    lexicographically least, each without those elements: on any table,
+    matroid or not, and in the table's order.
     """
     keep = set(keep)
-    table = m.table()
-    labels = list(range(1, m.n + 1))
-    for e in range(1, m.n + 1):
-        if e not in keep:
-            table, labels = _delete_from_table(table, labels, e)
-    rank = len(next(iter(table)))
-    return rank, table
+    deleted = [e for e in range(1, m.n + 1) if e not in keep]
+    vectors = {b: tuple(e in b for e in deleted) for b in m._finite}
+    least = min(vectors.values())
+    return m.r - sum(least), {tuple(x for x in b if x in keep): v
+                              for b, v in m._finite.items() if vectors[b] == least}
 
 
 def delete(m: ValuatedMatroid, e) -> ValuatedMatroid:
@@ -347,8 +357,7 @@ def delete(m: ValuatedMatroid, e) -> ValuatedMatroid:
     """
     if not 1 <= e <= m.n:
         raise UsageError("element %r not in ground set" % (e,))
-    table, _ = _delete_from_table(m.table(), list(range(1, m.n + 1)), e)
-    rank = len(next(iter(table)))
+    rank, table = restrict_table(m, set(range(1, m.n + 1)) - {e})
     relabel = lambda x: x if x < e else x - 1
     return ValuatedMatroid(
         m.n - 1, rank, {tuple(relabel(x) for x in b): v for b, v in table.items()}

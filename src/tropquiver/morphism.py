@@ -16,16 +16,16 @@ from itertools import combinations
 from .errors import ShapeError, UsageError
 from .matroid import (
     ValuatedMatroid,
+    add_loop,
     check_walk,
     cocircuits,
-    delete,
+    containment_check,
     quotient_check,
     restrict_table,
     subset_count,
 )
 from .puiseux import FieldMatrix, PuiseuxElement, valuation
 from .puiseux import ZERO as F_ZERO
-from .quiver import containment_check
 from .trop import INF, TropMatrix, TropValue, trop_matvec, trop_span_membership
 
 O = 0  # the distinguished origin element
@@ -84,19 +84,24 @@ class GroundSetMap:
 
 def affine_induced(nu: ValuatedMatroid, f: GroundSetMap) -> ValuatedMatroid:
     """The affine induced valuated matroid of f against nu, as a pointed
-    matroid on [n] u {o} with o stored at position n+1.
+    matroid on [n] u {o} with o stored at position n+1, a loop."""
+    return add_loop(affine_induced_unpointed(nu, f))
+
+
+def affine_induced_unpointed(nu: ValuatedMatroid, f: GroundSetMap) -> ValuatedMatroid:
+    """The affine induced valuated matroid of f against nu on [n], without
+    the origin.
 
     The target matroid is restricted to the image of f1; a basis B gets
     the restricted value at f1(B) plus the sum of the shifts f2(i) over B.
-    Bases on which f1 is not injective, or which touch o (directly or via
-    f1), are valued infinity.
+    Bases on which f1 is not injective, or which f1 sends to o, are valued
+    infinity.
     """
     if f.n != nu.n:
         raise ShapeError("map and matroid ground sets differ")
     image = {f.f1[i] for i in range(1, f.n + 1) if f.f1[i] != O}
     rank, table = restrict_table(nu, image)
     check_walk("affine induction", subset_count(f.n, rank))
-    o_pos = f.n + 1
     values = {}
     for basis in combinations(range(1, f.n + 1), rank):
         targets = [f.f1[i] for i in basis]
@@ -110,14 +115,7 @@ def affine_induced(nu: ValuatedMatroid, f: GroundSetMap) -> ValuatedMatroid:
             total = total + f.f2[i]
         if total.is_finite:
             values[basis] = total
-    # every basis through o stays infinite: o is a loop
-    return ValuatedMatroid(o_pos, rank, values)
-
-
-def affine_induced_unpointed(nu: ValuatedMatroid, f: GroundSetMap) -> ValuatedMatroid:
-    """The affine induced matroid with the origin loop removed."""
-    ind = affine_induced(nu, f)
-    return delete(ind, ind.n)
+    return ValuatedMatroid(f.n, rank, values)
 
 
 def is_affine_morphism(f: GroundSetMap, mu: ValuatedMatroid, nu: ValuatedMatroid):

@@ -29,6 +29,7 @@ from .matroid import (
     ValuatedMatroid,
     _unique_minimum,
     check_walk,
+    containment_check,
     is_valuated_matroid,
     quotient_check,
     subset_count,
@@ -328,27 +329,6 @@ def qdr_membership(rep: QuiverRepresentation, mus):
     """
     cert = _matroid_failure(rep, mus) or _relation_failure(rep, mus)
     return cert is None, cert
-
-
-def containment_check(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid):
-    """Is val(A) (.) trop(mu) contained in trop(nu)?
-
-    The image is tropically generated by the images of mu's cocircuits, so
-    it suffices to test each image against nu's circuits, in the walk that
-    counts each target index once.  Returns (bool, (cocircuit,
-    violating_circuit) or None).
-    """
-    if mu.n != nu.n:
-        raise ShapeError("matroids live on different ground sets")
-    if a.n_rows != nu.n or a.n_cols != mu.n:
-        raise ShapeError("matrix shape does not match the ground sets")
-    check_walk("containment check",
-               subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1),
-               "(cocircuit, circuit) pairs")
-    hit = _unique_minimum(a, mu, nu, grouped=True)
-    if hit is None:
-        return True, None
-    return False, (hit[0][1], hit[1][1])
 
 
 def qdr_membership_via_containment(rep: QuiverRepresentation, mus):
