@@ -11,8 +11,9 @@ checkout's src/ gives that version's digest.  Everything runs in process:
   fixtures that bench/workloads.build_cli_mixed writes into a temporary
   directory;
 - --help for the top level and for every subcommand;
-- inputs that exit 2: malformed JSON, a missing file, and one input past
-  the cap of each capped walk.
+- inputs that exit 2: malformed JSON, a missing file, one input past the
+  cap of each capped walk, and the rejected inputs of tests/test_cli.py
+  (EXIT_2).
 
 elapsed_ms is masked and input paths are reduced to their base names.
 """
@@ -29,8 +30,9 @@ import tempfile
 from itertools import combinations
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "bench"))
+sys.path[:0] = [os.path.join(ROOT, "bench"), os.path.join(ROOT, "tests")]
 
+from test_cli import EXIT_2  # noqa: E402
 from tropquiver import cli  # noqa: E402
 from workloads import build_cli_mixed  # noqa: E402
 
@@ -99,6 +101,7 @@ def records(seeds):
             out.append([" ".join(argv)] + _run(argv, directory))
         errors = [("check-matroid", [("malformed", '{"n": 3, "r": ')]),
                   ("check-matroid", [("missing", None)])] + OVER_CAP
+        errors += [(command, files) for command, files, _ in EXIT_2]
         for command, files in errors:
             argv = [command]
             for name, data in files:

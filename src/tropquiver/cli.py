@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 import time
@@ -113,9 +114,13 @@ COMMANDS = {
 
 
 def _load(path):
+    """The JSON document in the file at path, and the sha256 of the bytes
+    it was decoded from."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        # decoded as open(path) would: same encoding, newlines and errors
+        return json.load(io.TextIOWrapper(io.BytesIO(raw))), hashlib.sha256(raw).hexdigest()
     except OSError as exc:
         raise TropquiverError("cannot read %s: %s" % (path, exc))
     except (ValueError, RecursionError) as exc:
@@ -124,20 +129,17 @@ def _load(path):
         raise TropquiverError("malformed JSON in %s: %s" % (path, exc))
 
 
-def _digest(path):
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError:
-        return None
-
-
 def _run_command(args):
-    """(ok, payload), or (ok, payload, extra keys for the verdict)."""
+    """(ok, payload, extra keys for the verdict), the inputs' digests
+    among the extra keys."""
     cmd = COMMANDS[args.command]
-    inputs = [getattr(jsonio, fmt + "_from_json")(_load(getattr(args, arg)))
-              for arg, fmt in cmd.inputs]
-    return cmd.run(*inputs, **{key: getattr(args, key) for key, _ in cmd.flags})
+    inputs, digests = [], {}
+    for arg, fmt in cmd.inputs:
+        path = getattr(args, arg)
+        data, digests[path] = _load(path)
+        inputs.append(getattr(jsonio, fmt + "_from_json")(data))
+    ok, payload, *extra = cmd.run(*inputs, **{key: getattr(args, key) for key, _ in cmd.flags})
+    return ok, payload, dict(*extra, inputs=digests)
 
 
 def build_parser():
@@ -175,13 +177,11 @@ def main(argv=None):
         traceback.print_exc()
         _error(args.command, "internal error: %s: %s" % (type(exc).__name__, exc))
         return 3
-    paths = [getattr(args, arg) for arg, _ in COMMANDS[args.command].inputs]
     verdict = {
         "command": args.command,
         "result": bool(ok),
         "certificate": certificate,
         "elapsed_ms": round((time.monotonic() - start) * 1000, 3),
-        "inputs": {p: _digest(p) for p in paths},
     }
     verdict.update(*extra)
     if isinstance(payload, dict):

@@ -79,10 +79,6 @@ def vector_from_json(data) -> TropVector:
     return TropVector([value_from_json(e) for e in data])
 
 
-def trop_matrix_to_json(m: TropMatrix):
-    return [[value_to_json(e) for e in row] for row in m.rows]
-
-
 def _rows(data):
     if not (isinstance(data, list) and data and all(isinstance(r, list) for r in data)):
         raise UsageError("a matrix must be a nonempty array of row arrays")

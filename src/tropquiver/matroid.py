@@ -1,5 +1,6 @@
 """Valuated matroids: exchange-axiom checking, circuits, cocircuits,
-tropical-linear-space membership, quotients, and deletion minors.
+tropical-linear-space membership and containment, quotients, and deletion
+and restriction minors (restriction in one pass over the bases).
 
 Ground sets are {1, ..., n}; basis-value tables are stored sparsely
 (absent subsets are infinite) and kept exactly as given, since affine
@@ -10,10 +11,11 @@ with :func:`is_valuated_matroid`.  One exchange kernel serves it and
 :func:`quotient_check`, walking pairs of finite bases.  One walk serves
 both membership routes: is the minimum of val(A_ij) + c_j + C_i, over a
 cocircuit-side c and a circuit-side C, attained twice, counting every
-term (relations) or each target index i once (containment, circuits,
-cocircuits, tls_membership)?  Both kernels compare lcm-scaled ints over
-bitmasks, which is still exact.  Every walk over subsets, or pairs of
-subsets or bases, is counted before it starts, against WALK_CAP.
+term (relations) or each target index i once (containment_check, whose
+circuit half is tls_membership, and circuits, cocircuits)?  Both kernels
+compare lcm-scaled ints over bitmasks, which is still exact.  Every walk
+over subsets, or pairs of subsets or bases, is counted before it starts,
+against WALK_CAP.
 """
 
 from __future__ import annotations
@@ -298,7 +300,11 @@ def tls_membership(m: ValuatedMatroid, x: TropVector):
     returns (bool, violating_circuit_or_None).  x is the one cocircuit of
     the rank-1 matroid with values x, whose tropical linear space is x, so
     this is the circuit half of containment_check of that matroid under
-    the identity.
+    the identity.  The all-infinite x is a member, though no rank-1
+    matroid has its values: each of its circuit terms is infinite, and an
+    infinite minimum counts as attained twice (trop.min_attained_twice).
+    trop_span_membership(..., projective=True) raises DegeneratePointError
+    on it instead, because it asks about projective points.
     """
     if len(x) != m.n:
         raise ShapeError("point has length %d, ground set has size %d" % (len(x), m.n))
@@ -337,8 +343,8 @@ def restrict_table(m: ValuatedMatroid, keep):
     the bases avoiding it if any does, and otherwise every basis with it
     dropped (a coloop).  So the survivors are the bases whose membership
     vector on the deleted elements (in that order, False before True) is
-    lexicographically least, each without those elements: on any table,
-    matroid or not, and in the table's order.
+    lexicographically least, each without those elements.  That holds on
+    any table, matroid or not, and the table's order is kept.
     """
     keep = set(keep)
     deleted = [e for e in range(1, m.n + 1) if e not in keep]

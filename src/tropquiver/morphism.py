@@ -4,8 +4,9 @@ matroids, plus the dictionary between weakly monomial matrices and maps.
 A map carries, for each ground-set element i, a target f1(i) in
 {1..n, o} and a tropical shift f2(i); the distinguished element o models
 the origin and is encoded internally as 0.  The induced matroid of a map
-restricts the pointed target matroid to the image of f1 and shifts each
-basis value by the sum of the scaling data.
+lives on [n]: it restricts the target matroid to the image of f1 and
+shifts each basis value by the sum of the scaling data.  The pointed
+induced matroid adds o to it as a loop.
 """
 
 from __future__ import annotations

@@ -103,6 +103,8 @@ class PuiseuxElement:
         return self._terms == other._terms
 
     def __hash__(self):
+        if not self._terms.keys() - {0}:  # a constant equals its rational
+            return hash(self._terms.get(0, 0))
         return hash(tuple(self.terms()))
 
     def __repr__(self):

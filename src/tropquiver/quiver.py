@@ -10,10 +10,10 @@ names gives an assignment directly.
 
 Both membership routes evaluate an arrow by the terms
 val(A_ij) + mu(I+j) + nu(J-i) in matroid's one integer walk: relations
-count every term, containment each target index i once.  Between two
-distinct vertices no two terms merge, since the monomial p_{I+j} q_{J-i}
-fixes both j and i; only loops, whose terms can share a monomial, go
-through the relation generator.
+count every term, containment (matroid.containment_check, imported here)
+each target index i once.  Between two distinct vertices no two terms
+merge, since the monomial p_{I+j} q_{J-i} fixes both j and i; only loops,
+whose terms can share a monomial, go through the relation generator.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ from typing import Optional
 from .errors import ShapeError, UsageError
 from .matroid import (
     WALK_CAP as RELATION_CAP,  # the cap all_relations counts against
-    ValuatedMatroid,
     _unique_minimum,
     check_walk,
     containment_check,
     is_valuated_matroid,
     quotient_check,
-    subset_count,
     tls_equal,
 )
 from .puiseux import (

@@ -80,7 +80,8 @@ class TropValue:
         return _coerce(other) <= self
 
     def __hash__(self):
-        return hash(("TropValue", self.value))
+        # equal to its rational, so hashed like it
+        return hash(self.value)
 
     def __repr__(self):
         return "inf" if self.value is None else str(self.value)
@@ -238,6 +239,9 @@ def trop_span_membership(generators, x: TropVector, projective=False):
 
     Returns (bool, coefficients, mismatch_coordinate) where coefficients
     maps generator positions to their principal shift (None = excluded).
+    With projective, x names a projective point, which no all-infinite
+    vector does, so that x raises DegeneratePointError; tls_membership
+    instead accepts it, as every one of its circuit terms is infinite.
     """
     generators = list(generators)
     if not generators:

@@ -1,5 +1,6 @@
 """Command line front end: exit codes, JSON payloads, error handling."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -44,6 +45,73 @@ KRONECKER = {
 
 POINT_00 = {"n": 2, "r": 1, "values": [[[1], "0"], [[2], "0"]]}
 POINT_E1 = {"n": 2, "r": 1, "values": [[[1], "0"]]}
+
+IDENTITY_2 = [["0", "inf"], ["inf", "0"]]
+IDENTITY_3 = [["0", "inf", "inf"], ["inf", "0", "inf"], ["inf", "inf", "0"]]
+MAP_2 = {"n": 2, "f": [{"i": 1, "to": 1, "shift": "0"}, {"i": 2, "to": 2, "shift": "0"}]}
+
+# Inputs that exit 2, one per input check of the library that no other
+# test reaches through the CLI: (command, [(file name, document), ...], a
+# fragment of the error).  scripts/cli_golden.py replays them too.
+EXIT_2 = [
+    ("relations", [("q_repeated_vertex", dict(KRONECKER, vertices=["u", "u", "w"]))],
+     "vertices must be distinct and nonempty"),
+    ("relations", [("q_no_vertex", {"n": 2, "vertices": [], "arrows": [], "dim": {}})],
+     "vertices must be distinct and nonempty"),
+    ("relations", [("q_short_dim", dict(KRONECKER, dim={"u": 1}))],
+     "dimension vector must cover exactly the vertices"),
+    ("relations", [("q_big_dim", dict(KRONECKER, dim={"u": 1, "w": 3}))],
+     "dimension 3 at vertex 'w' outside [1..2]"),
+    ("relations", [("q_unknown_end", dict(KRONECKER, arrows=[
+        {"src": "u", "dst": "x", "matrix_trop": IDENTITY_2}]))],
+     "touches an unknown vertex"),
+    ("relations", [("q_no_layer", dict(KRONECKER, arrows=[{"src": "u", "dst": "w"}]))],
+     "carries no matrix layer"),
+    ("relations", [("q_small_matrix", dict(KRONECKER, arrows=[
+        {"src": "u", "dst": "w", "matrix_trop": [["0"]]}]))],
+     "arrow matrices must be 2x2"),
+    ("qdr-check", [("kronecker", KRONECKER), ("tuple_n3", {"u": UNIFORM_32, "w": POINT_00})],
+     "matroid at 'u' lives on [3], ambient is [2]"),
+    ("qgr-witness-check", [("kronecker", KRONECKER), ("tuple_e1", {"u": POINT_E1, "w": POINT_E1}),
+                           ("witness_no_w", {"u": [["1", "0"]]})],
+     "candidate must be keyed by exactly the vertices"),
+    ("qgr-witness-check", [("kronecker", KRONECKER), ("tuple_e1", {"u": POINT_E1, "w": POINT_E1}),
+                           ("witness_1x3", {"u": [["1", "0", "0"]], "w": [["1", "0"]]})],
+     "candidate at 'u' must be 1x2"),
+    ("check-matroid", [("m_repeated", {"n": 3, "r": 2, "values": [[[1, 1], "0"]]})],
+     "subset with repeated elements"),
+    ("check-matroid", [("m_n0", {"n": 0, "r": 0, "values": [[[], "0"]]})],
+     "need 0 <= r <= n and n >= 1"),
+    ("check-matroid", [("m_r3_n2", {"n": 2, "r": 3, "values": []})],
+     "need 0 <= r <= n and n >= 1"),
+    ("quotient", [("u32", UNIFORM_32), ("point00", POINT_00)],
+     "quotient requires a common ground set"),
+    ("containment-check", [("identity2", IDENTITY_2), ("point00", POINT_00), ("u32", UNIFORM_32)],
+     "matroids live on different ground sets"),
+    ("containment-check", [("identity3", IDENTITY_3), ("point00", POINT_00), ("point00", POINT_00)],
+     "matrix shape does not match the ground sets"),
+    ("containment-check", [("ragged", [["0", "inf"], ["0"]]), ("point00", POINT_00),
+                           ("point00", POINT_00)],
+     "ragged tropical matrix"),
+    ("containment-check", [("empty_row", [[]]), ("point00", POINT_00), ("point00", POINT_00)],
+     "empty tropical matrix"),
+    ("induce", [("u32", UNIFORM_32), ("map_n0", {"n": 0, "f": []})],
+     "ground set must be nonempty"),
+    ("induce", [("u32", UNIFORM_32), ("map_to4", {"n": 3, "f": [
+        {"i": 1, "to": 1, "shift": "0"}, {"i": 2, "to": 4, "shift": "0"},
+        {"i": 3, "to": 3, "shift": "0"}]})],
+     "target 4 outside [1..3]"),
+    ("induce", [("u32", UNIFORM_32), ("map2", MAP_2)],
+     "map and matroid ground sets differ"),
+    ("morphism-check", [("map2", MAP_2), ("u32", UNIFORM_32), ("u32", UNIFORM_32)],
+     "map and matroids must share a ground set size"),
+    ("monomial-decompose", [("field_2x3", [["1", "0", "0"], ["0", "1", "0"]])],
+     "decomposition needs a square matrix"),
+    ("realize", [("field_ragged", [["1", "0"], ["1"]])], "ragged field matrix"),
+    ("realize", [("field_empty_row", [[]])], "empty field matrix"),
+    ("tls-member", [("u32", UNIFORM_32), ("point_empty", [])], "a vector must be a nonempty array"),
+    ("tls-member", [("u32", UNIFORM_32), ("point_number", 5)], "a vector must be a nonempty array"),
+]
 
 
 def run(capsys, *argv):
@@ -198,6 +266,38 @@ class TestVerdicts:
         code, out = run(capsys, "relations", write("q.json", zero))
         assert code == 0
         assert all(rel["tropical"] and rel["classical"] for rel in out["result"]["relations"])
+
+    def test_tls_member_all_infinite_point(self, write, capsys):
+        # every circuit term is infinite, so the minimum counts as attained twice
+        p = write("p.json", ["inf", "inf", "inf"])
+        code, out = run(capsys, "tls-member", write("m.json", UNIFORM_32), p)
+        assert code == 0 and out["result"] is True and out["certificate"] is None
+
+    def test_explicit_origin_entry_is_implicit(self, write, capsys):
+        m = write("m.json", UNIFORM_32)
+        entries = [{"i": 1, "to": 2, "shift": "1"}, {"i": 2, "to": 1, "shift": "0"},
+                   {"i": 3, "to": "o", "shift": "inf"}]
+        outs = []
+        for f in (entries, entries + [{"i": "o", "to": "o", "shift": "inf"}]):
+            code, out = run(capsys, "induce", m, write("f.json", {"n": 3, "f": f}))
+            assert code == 0
+            outs.append(out["result"])
+        assert outs[0] == outs[1]
+
+    def test_inputs_are_read_once_and_digested(self, write, capsys, monkeypatch):
+        paths = [write("map.json", MAP_2), write("mu.json", POINT_00), write("nu.json", POINT_E1)]
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        code, out = run(capsys, "morphism-check", *paths)
+        assert code in (0, 1) and sorted(opened) == sorted(paths)
+        for path in paths:
+            with open(path, "rb") as fh:
+                assert out["inputs"][path] == hashlib.sha256(fh.read()).hexdigest()
 
     def test_morphism_check(self, write, capsys):
         f = write("f.json", {"n": 3, "f": [
@@ -367,6 +467,13 @@ class TestErrors:
         code, out = run(capsys, "check-matroid", write("m.json", UNIFORM_32))
         assert code == 3 and set(out) == {"command", "error"}
         assert out["error"] == "internal error: ZeroDivisionError: division by zero"
+
+    @pytest.mark.parametrize("command,files,message", EXIT_2,
+                             ids=["-".join([c] + [n for n, _ in f]) for c, f, _ in EXIT_2])
+    def test_rejected_input(self, write, capsys, command, files, message):
+        code, out = run(capsys, command, *[write(name + ".json", data) for name, data in files])
+        assert code == 2 and set(out) == {"command", "error"}
+        assert message in out["error"]
 
     def test_non_list_map_entries(self, write, capsys):
         f = write("f.json", {"n": 3, "f": 5})

@@ -65,3 +65,12 @@ def test_equality_compares_values():
         [(1, ("y",)), (0, ("x",))])
     rep = identity_chain_representation(3, (1, 2))
     assert rep == rep and rep != identity_chain_representation(3, (1, 2))
+
+
+def test_equal_values_hash_alike():
+    half = Fraction(1, 2)
+    assert hash(TropValue(3)) == hash(3) and len({TropValue(3), 3}) == 1
+    assert {TropValue(half): "a"}.get(half) == "a"
+    for p, c in [(PuiseuxElement.const(3), 3), (PuiseuxElement.const(half), half),
+                 (PuiseuxElement(), 0)]:
+        assert p == c and hash(p) == hash(c) and len({p, c}) == 1
