@@ -8,6 +8,13 @@ layer (its entrywise valuation), or both.  Relation variables are labeled
 (vertex, subset) so that a tuple of valuated matroids keyed by vertex
 names gives an assignment directly.
 
+Relations are generated and deduplicated over ints: each matrix is scaled
+once, exponents by the lcm N of their denominators and coefficients by one
+lcm L over the whole matrix (not per row, as puiseux's minor expansion
+does, because one relation sums entries of different rows).  Puiseux and
+tropical objects are built only for the relations that are yielded or
+kept.
+
 Both membership routes evaluate an arrow by the terms
 val(A_ij) + mu(I+j) + nu(J-i) in matroid's one integer walk: relations
 count every term, containment (matroid.containment_check, imported here)
@@ -18,9 +25,12 @@ whose terms can share a monomial, go through the relation generator.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Optional
 
 from .errors import ShapeError, UsageError
@@ -34,14 +44,13 @@ from .matroid import (
     tls_equal,
 )
 from .puiseux import (
-    ONE,
-    ZERO,
     FieldMatrix,
+    PuiseuxElement,
     classical_containment,
     pluecker_valuations,
     valuation,
 )
-from .trop import INF, TropMatrix, TropPolynomial, trop_poly_vanishes
+from .trop import TropMatrix, TropPolynomial, TropValue, trop_poly_vanishes
 
 
 @dataclass(frozen=True)
@@ -108,49 +117,118 @@ class QuiverRepresentation:
         return a.field
 
 
-def _sign(j, i_set, j_set):
-    flips = sum(1 for jp in j_set if j < jp) + sum(1 for i in i_set if i > j)
-    return -1 if flips % 2 else 1
+def _exponent_denominators(arrow: RepArrow):
+    """Denominators of an arrow's exponents: those of every term of its
+    field entries, or of its finite tropical entries."""
+    if arrow.field is not None:
+        return (e.denominator for row in arrow.field.rows for x in row for e, _ in x.terms())
+    return (x.value.denominator for row in arrow.trop.rows for x in row if x.is_finite)
 
 
-def _merge_field(raw):
-    """Classical layer of signed (sign, entry, monomial) terms: coefficients
-    summed over equal monomials, zeros dropped; then its tropicalization."""
-    acc = {}
-    for sign, entry, mono in raw:
-        acc[mono] = acc.get(mono, ZERO) + (entry if sign > 0 else -entry)
-    classical = tuple(sorted((m, c) for m, c in acc.items() if not c.is_zero))
-    return classical, TropPolynomial((valuation(c), m) for m, c in classical)
+def _scaled_columns(arrow: RepArrow, exp_scale):
+    """An arrow's nonzero (tropically: finite) entries per column as
+    (j, [(i, entry)]), 1-based, over ints: exponents times exp_scale, field
+    coefficients times L, the lcm of every coefficient denominator of the
+    matrix (one scale for all rows, see the module docstring).  An entry is
+    the pair of its values under the signs +1 and -1: a field entry's
+    sorted (exponent, coefficient) tuple and its negative, a tropical
+    entry's value twice.  Returns (columns, L), L None for the tropical
+    layer."""
+    if arrow.field is not None:
+        rows = [[x.terms() or None for x in row] for row in arrow.field.rows]
+        coeff_scale = reduce(lcm, (c.denominator for row in rows for x in row if x
+                                   for _, c in x), 1)
+
+        def scaled(terms):
+            p = tuple((e.numerator * (exp_scale // e.denominator),
+                       c.numerator * (coeff_scale // c.denominator)) for e, c in terms)
+            return p, tuple((e, -c) for e, c in p)
+    else:
+        rows = [[x.value for x in row] for row in arrow.trop.rows]
+        coeff_scale = None
+
+        def scaled(value):
+            v = value.numerator * (exp_scale // value.denominator)
+            return v, v
+    columns = []
+    for j in range(len(rows[0])):
+        entries = [(i + 1, scaled(row[j])) for i, row in enumerate(rows) if row[j] is not None]
+        if entries:
+            columns.append((j + 1, entries))
+    return columns, coeff_scale
 
 
-def _merge_trop(raw):
-    """Tropical layer only: signs vanish, colliding monomials merge by minimum."""
-    return None, TropPolynomial.merged((entry, mono) for _, entry, mono in raw)
+_UNIT = (((0, 1),), ((0, -1),))  # the entry 1 under both signs
+
+
+def _identity_columns(n):
+    return [(j, [(j, _UNIT)]) for j in range(1, n + 1)]
+
+
+def _add(p, q):
+    """Sum of two int polynomials given as sorted (exponent, coefficient)
+    tuples, in the same form; None when it is zero."""
+    acc = dict(p)
+    for e, c in q:
+        acc[e] = acc.get(e, 0) + c
+    return tuple(sorted((e, c) for e, c in acc.items() if c)) or None
 
 
 def _relations(n, r, s, src, dst, columns, merge):
-    """Pluecker relations of a matrix M from a rank-r source to a rank-s
-    target, given by its nonzero (tropically: finite) entries per column as
-    (j, [(i, M[i][j])]), 1-based.  Yields (I, J, classical, tropical) for
-    every (r-1)-subset I and (s+1)-subset J with terms
-    sign(j;I,J) * M[i][j] * p_{I+j} * q_{J-i}; merge turns the raw
-    (sign, entry, monomial) terms into the layer's (classical, tropical)
-    pair.  Relations without terms are skipped."""
-    for i_set in combinations(range(1, n + 1), r - 1):
-        for j_set in combinations(range(1, n + 1), s + 1):
-            raw = []
-            for j, entries in columns:
-                if j in i_set:
-                    continue
-                left = (src, tuple(sorted(i_set + (j,))))
-                sign = _sign(j, i_set, j_set)
+    """Pluecker relations, over ints, of a matrix M from a rank-r source to
+    a rank-s target, given by its columns as _scaled_columns returns them.
+    Yields (I, J, terms) for every (r-1)-subset I and (s+1)-subset J with
+    terms sign(j;I,J) * M[i][j] * p_{I+j} * q_{J-i}: terms is a tuple of
+    (monomial, coefficient) sorted by monomial, the coefficients of one
+    monomial merged by merge (classically _add, whose None marks a
+    cancelled monomial, dropped here; tropically min).  Relations without
+    terms are skipped."""
+    ground = range(1, n + 1)
+    for i_set in combinations(ground, r - 1):
+        # per column j outside I: p_{I+j}, and the flips of sign(j;I,J)
+        # counted inside I, plus |J| (the flips in J are |J| minus the
+        # members of J up to j)
+        lefts = [(j, (src, tuple(sorted(i_set + (j,)))), sum(i > j for i in i_set) + s + 1,
+                  entries) for j, entries in columns if j not in i_set]
+        for j_set in combinations(ground, s + 1):
+            rights = {i: (dst, j_set[:k] + j_set[k + 1 :]) for k, i in enumerate(j_set)}
+            acc = {}
+            for j, left, flips, entries in lefts:
+                odd = (flips - bisect_right(j_set, j)) & 1
                 for i, entry in entries:
-                    if i in j_set:
-                        right = (dst, tuple(e for e in j_set if e != i))
-                        raw.append((sign, entry, tuple(sorted((left, right)))))
-            classical, tropical = merge(raw)
-            if tropical.terms:
-                yield i_set, j_set, classical, tropical
+                    right = rights.get(i)
+                    if right is not None:
+                        mono = (right, left) if right < left else (left, right)
+                        prev = acc.get(mono)
+                        acc[mono] = entry[odd] if prev is None else merge(prev, entry[odd])
+            terms = tuple(sorted(t for t in acc.items() if t[1] is not None))
+            if terms:
+                yield i_set, j_set, terms
+
+
+def _convert(terms, exp_scale, coeff_scale, cache):
+    """The (classical, tropical) pair of int relation terms, exponents
+    divided back by exp_scale and coefficients by coeff_scale: Puiseux
+    coefficients and their valuations, or for the tropical layer
+    (coeff_scale None) no classical layer and the values alone.  cache maps
+    an int coefficient to what it converts to, so that each distinct one is
+    built once per cache; its owner keeps one per pair of scales."""
+    values = []
+    for _, c in terms:
+        hit = cache.get(c)
+        if hit is None:
+            if coeff_scale is None:
+                hit = TropValue(Fraction(c, exp_scale))
+            else:
+                hit = (PuiseuxElement({Fraction(e, exp_scale): Fraction(k, coeff_scale)
+                                       for e, k in c}),
+                       TropValue(Fraction(c[0][0], exp_scale)))
+            cache[c] = hit
+        values.append(hit)
+    if coeff_scale is None:
+        return None, TropPolynomial((v, m) for (m, _), v in zip(terms, values))
+    return (tuple((m, p) for (m, _), (p, _) in zip(terms, values)),
+            TropPolynomial((v, m) for (m, _), (_, v) in zip(terms, values)))
 
 
 def grassmann_pluecker_relations(n, r, tag):
@@ -158,8 +236,20 @@ def grassmann_pluecker_relations(n, r, tag):
     in variables labeled (tag, subset): the relations of the identity from
     (tag, r) to itself.  Yields (I, J, classical, tropical); classically
     cancelling relations are skipped."""
-    identity = [(j, [(j, ONE)]) for j in range(1, n + 1)]
-    yield from _relations(n, r, r, tag, tag, identity, _merge_field)
+    cache = {}
+    for i_set, j_set, terms in _relations(n, r, r, tag, tag, _identity_columns(n), _add):
+        yield (i_set, j_set) + _convert(terms, 1, 1, cache)
+
+
+def _arrow_relations(rep: QuiverRepresentation, a_idx, exp_scale):
+    """The int relations of one arrow (_relations, exponents times
+    exp_scale) and the arrow's coefficient scale, None for the tropical
+    layer."""
+    arrow = rep.arrows[a_idx]
+    columns, coeff_scale = _scaled_columns(arrow, exp_scale)
+    relations = _relations(rep.n, rep.dim[arrow.src], rep.dim[arrow.dst], arrow.src,
+                           arrow.dst, columns, min if coeff_scale is None else _add)
+    return relations, coeff_scale
 
 
 def quiver_pluecker_relations(rep: QuiverRepresentation, a_idx):
@@ -172,32 +262,35 @@ def quiver_pluecker_relations(rep: QuiverRepresentation, a_idx):
     without it, colliding monomials are merged tropically by minimum.
     Relations without terms are skipped in both layers.
     """
-    arrow = rep.arrows[a_idx]
-    if arrow.field is not None:
-        rows, absent, merge = arrow.field.rows, ZERO, _merge_field
-    else:
-        rows, absent, merge = arrow.trop.rows, INF, _merge_trop
-    columns = []
-    for j in range(rep.n):
-        entries = [(i + 1, row[j]) for i, row in enumerate(rows) if row[j] != absent]
-        if entries:
-            columns.append((j + 1, entries))
-    yield from _relations(rep.n, rep.dim[arrow.src], rep.dim[arrow.dst],
-                          arrow.src, arrow.dst, columns, merge)
+    exp_scale = reduce(lcm, _exponent_denominators(rep.arrows[a_idx]), 1)
+    relations, coeff_scale = _arrow_relations(rep, a_idx, exp_scale)
+    cache = {}
+    for i_set, j_set, terms in relations:
+        yield (i_set, j_set) + _convert(terms, exp_scale, coeff_scale, cache)
+
+
+def _times(p, q):
+    """Product of two int polynomials given as (exponent, coefficient)
+    tuples, as an {exponent: coefficient} dict without zeros."""
+    acc = {}
+    for e1, c1 in p:
+        for e2, c2 in q:
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
 
 
 def _proportional(c1, c2):
-    """Is one of two classical relations on the same monomials, in the same
-    order, a scalar multiple of the other?"""
+    """Is one of two classical int relations on the same monomials, in the
+    same order, a scalar multiple of the other?  Their exponents must share
+    one scale; their coefficient scales may differ, a constant factor."""
     lead1, lead2 = c1[0][1], c2[0][1]
-    return all(a * lead2 == b * lead1 for (_, a), (_, b) in zip(c1, c2))
+    return all(_times(a, lead2) == _times(b, lead1) for (_, a), (_, b) in zip(c1, c2))
 
 
-def _trop_projective_key(poly: TropPolynomial):
-    """poly up to a common shift of its coefficients, all finite (merged
-    from finite entries)."""
-    shift = min(c.value for c, _ in poly.terms)
-    return tuple(sorted((m, c.value - shift) for c, m in poly.terms))
+def _trop_projective_key(terms):
+    """Tropical int relation terms up to a common shift of their values."""
+    shift = min(v for _, v in terms)
+    return tuple((m, v - shift) for m, v in terms)
 
 
 def _arrow_pairs(rep: QuiverRepresentation):
@@ -213,48 +306,53 @@ def all_relations(rep: QuiverRepresentation):
     relations, deduplicated (classically up to scalar, tropically up to a
     projective shift).  Vacuous relations are never generated.
 
+    Relations are generated and compared over ints (_relations), with one
+    exponent scale for the whole call, since relations of different arrows
+    and vertices are compared with each other; scaling is a bijection, so
+    both equivalences are unchanged.  Puiseux and tropical objects are
+    built only for the relations kept.
+
     Returns a list of dicts with keys kind, where, I, J, classical,
-    tropical.  Raises CapacityError, before generating anything, when more
+    tropical.  Raises CapacityError, before any matrix is scaled, when more
     than RELATION_CAP (I, J) pairs would be walked: C(n, r-1) * C(n, r+1)
     for a vertex of rank r, plus the pairs of every arrow (_arrow_pairs).
     """
     n, dim = rep.n, rep.dim
     pairs = sum(comb(n, dim[v] - 1) * comb(n, dim[v] + 1) for v in rep.vertices)
     check_walk("relation generation", pairs + _arrow_pairs(rep), "(I, J) pairs")
+    exp_scale = reduce(lcm, (d for a in rep.arrows for d in _exponent_denominators(a)), 1)
+    sources = [("vertex", v, _relations(n, dim[v], dim[v], v, v, _identity_columns(n), _add), 1)
+               for v in rep.vertices]
+    sources += [("arrow", a_idx) + _arrow_relations(rep, a_idx, exp_scale)
+                for a_idx in range(len(rep.arrows))]
     out = []
     seen_classical = {}  # monomial support -> classical relations kept
     seen_tropical = set()
-
-    def push(kind, where, i_set, j_set, classical, tropical):
-        if classical is not None:
-            bucket = seen_classical.setdefault(tuple(m for m, _ in classical), [])
-            if any(_proportional(prev, classical) for prev in bucket):
-                return
-            bucket.append(classical)
-        else:
-            key = _trop_projective_key(tropical)
-            if key in seen_tropical:
-                return
-            seen_tropical.add(key)
-        out.append(
-            {
-                "kind": kind,
-                "where": where,
-                "I": i_set,
-                "J": j_set,
-                "classical": classical,
-                "tropical": tropical,
-            }
-        )
-
-    for v in rep.vertices:
-        for i_set, j_set, classical, tropical in grassmann_pluecker_relations(
-            rep.n, rep.dim[v], v
-        ):
-            push("vertex", v, i_set, j_set, classical, tropical)
-    for a_idx in range(len(rep.arrows)):
-        for i_set, j_set, classical, tropical in quiver_pluecker_relations(rep, a_idx):
-            push("arrow", a_idx, i_set, j_set, classical, tropical)
+    caches = {}  # coefficient scale -> _convert's cache
+    for kind, where, relations, coeff_scale in sources:
+        cache = caches.setdefault(coeff_scale, {})
+        for i_set, j_set, terms in relations:
+            if coeff_scale is not None:
+                bucket = seen_classical.setdefault(tuple(m for m, _ in terms), [])
+                if any(_proportional(prev, terms) for prev in bucket):
+                    continue
+                bucket.append(terms)
+            else:
+                key = _trop_projective_key(terms)
+                if key in seen_tropical:
+                    continue
+                seen_tropical.add(key)
+            classical, tropical = _convert(terms, exp_scale, coeff_scale, cache)
+            out.append(
+                {
+                    "kind": kind,
+                    "where": where,
+                    "I": i_set,
+                    "J": j_set,
+                    "classical": classical,
+                    "tropical": tropical,
+                }
+            )
     return out
 
 

@@ -1,6 +1,7 @@
 """Quiver representations, Pluecker relations and the membership routes."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -428,6 +429,17 @@ class TestValidation:
         assert all_relations(rep(most)) == []
         with pytest.raises(CapacityError):
             all_relations(rep(most + 1))
+
+    def test_relation_cap_raises_before_any_work(self):
+        # n = 30, ranks 15 and 15, one tropical identity arrow (the quiver
+        # of the CLI's past-the-cap golden inputs): about 2.4e16 (I, J)
+        # pairs; the count raises before any matrix is scaled
+        rep = QuiverRepresentation(30, ["u", "w"], [RepArrow("u", "w", trop=TropMatrix.identity(30))],
+                                   {"u": 15, "w": 15})
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            all_relations(rep)
+        assert time.perf_counter() - start < 1.0
 
     def test_rank_zero_source_walks_no_pairs(self):
         # C(n, r - 1) counts as 0 for r = 0: no cocircuit, nothing to contain
