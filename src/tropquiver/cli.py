@@ -1,7 +1,9 @@
 """JSON-in, JSON-out command line front end.
 
 Every subcommand is one entry of COMMANDS; the parser, the dispatcher and
-the input digests of the verdict are all read off that table.
+the input digests of the verdict are all read off that table.  A verdict
+is indented JSON with sorted keys, written by jsonio.dump in batched
+writes: the same bytes as json.dump(verdict, indent=2, sort_keys=True).
 
 Exit codes: 0 = predicate true / object emitted, 1 = predicate false
 (certificate emitted), 2 = input or usage error, 3 = internal error (its
@@ -187,7 +189,7 @@ def main(argv=None):
     if isinstance(payload, dict):
         verdict["result"] = payload
         verdict["result_bool"] = bool(ok)
-    json.dump(verdict, sys.stdout, indent=2, sort_keys=True)
+    jsonio.dump(verdict, sys.stdout)
     sys.stdout.write("\n")
     return 0 if ok else 1
 

@@ -5,12 +5,16 @@ by these formats.  Rationals are strings "p/q" (or "p") or integers, and
 nothing else; infinity is the string "inf".
 Vectors are arrays, matrices arrays of row arrays.  Puiseux elements are
 term lists [{"c": "p/q", "e": "a/b"}, ...]; zero is the empty list.
+dump writes a verdict as json.dump(obj, stream, indent=2, sort_keys=True)
+does, byte for byte, in a few large writes instead of one per token.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
+from math import isinf
 
 from .errors import CapacityError, UsageError
 from .matroid import ValuatedMatroid
@@ -226,3 +230,81 @@ def certificate_to_json(cert):
     if isinstance(cert, (list, tuple)):
         return [certificate_to_json(x) for x in cert]
     raise TypeError("cannot serialize %r" % (cert,))
+
+
+_BATCH = 1000  # chunks joined per stream.write
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def dump(obj, stream) -> None:
+    """Write obj to stream exactly as json.dump(obj, stream, indent=2,
+    sort_keys=True) does, without json's generator per nesting level:
+    chunks collect in a list, joined and written once that holds _BATCH of
+    them and once at the end.  obj is built of str, int, float, bool, None,
+    lists, tuples and dicts with str keys; anything else raises
+    TypeError."""
+    chunks = []
+    append = chunks.append
+
+    def value(x, nl):
+        # nl is the newline and indent of the line that holds x
+        if isinstance(x, str):
+            append(_string(x))
+        elif x is None:
+            append("null")
+        elif x is True:
+            append("true")
+        elif x is False:
+            append("false")
+        elif isinstance(x, int):
+            append(int.__repr__(x))
+        elif isinstance(x, float):
+            append(_float(x))
+        elif isinstance(x, (list, tuple)):
+            if not x:
+                append("[]")
+                return
+            inner = nl + "  "
+            sep, comma = "[" + inner, "," + inner
+            for item in x:
+                if type(item) is str:
+                    append(sep + _string(item))
+                elif type(item) is int:
+                    append(sep + int.__repr__(item))
+                else:
+                    append(sep)
+                    value(item, inner)
+                sep = comma
+            append(nl + "]")
+        elif isinstance(x, dict):
+            if not x:
+                append("{}")
+                return
+            inner = nl + "  "
+            sep, comma = "{" + inner, "," + inner
+            for key in sorted(x):  # _string raises TypeError on a non-str key
+                item = x[key]
+                if type(item) is str:
+                    append(sep + _string(key) + ": " + _string(item))
+                elif type(item) is int:
+                    append(sep + _string(key) + ": " + int.__repr__(item))
+                else:
+                    append(sep + _string(key) + ": ")
+                    value(item, inner)
+                sep = comma
+            append(nl + "}")
+        else:
+            raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
+        if len(chunks) >= _BATCH:
+            stream.write("".join(chunks))
+            chunks.clear()
+
+    value(obj, "\n")
+    stream.write("".join(chunks))

@@ -302,17 +302,6 @@ class TropPolynomial:
             cleaned.append((_coerce(coeff), expo))
         object.__setattr__(self, "terms", tuple(cleaned))
 
-    @classmethod
-    def merged(cls, terms):
-        """Build from raw terms, merging duplicate exponents by minimum."""
-        table = {}
-        for coeff, expo in terms:
-            expo = tuple(sorted(expo))
-            coeff = _coerce(coeff)
-            if expo not in table or coeff < table[expo]:
-                table[expo] = coeff
-        return cls((c, e) for e, c in sorted(table.items()))
-
     def __eq__(self, other):
         if not isinstance(other, TropPolynomial):
             return NotImplemented

@@ -1,6 +1,7 @@
 """Command line front end: exit codes, JSON payloads, error handling."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from tropquiver import cli
+from tropquiver import cli, jsonio
 from tropquiver.cli import main
 
 UNIFORM_32 = {
@@ -503,3 +504,60 @@ def test_python_dash_m_runs_the_cli(write):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout)["certificate"] == [[1, 2], [3, 4], 1]
+
+
+U31 = {"n": 3, "r": 1, "values": [[[1], "0"], [[2], "0"], [[3], "0"]]}
+MAP_3 = {"n": 3, "f": [{"i": 1, "to": 1, "shift": "3"}, {"i": 2, "to": 3, "shift": "1"},
+                       {"i": 3, "to": 2, "shift": "0"}]}
+# One call per subcommand: (argv before the files, [(file name, document), ...]).
+ONE_PER_COMMAND = [
+    (["check-matroid"], [("m", DISCONNECTED)]),
+    (["circuits"], [("m", UNIFORM_32)]),
+    (["cocircuits"], [("m", UNIFORM_32)]),
+    (["tls-member"], [("m", UNIFORM_32), ("p", ["0", "1", "2"])]),
+    (["quotient"], [("mu", U31), ("nu", UNIFORM_32)]),
+    (["induce"], [("m", UNIFORM_32), ("f", MAP_3)]),
+    (["morphism-check"], [("f", MAP_3), ("m", UNIFORM_32), ("m", UNIFORM_32)]),
+    (["monomial-decompose"], [("a", [["0", [{"c": "2", "e": "3"}]], ["1", "0"]])]),
+    (["realize"], [("a", [["1", [{"c": "1", "e": "1"}], "0"], ["0", "1", "-1/2"]])]),
+    (["qdr-check", "--cross-check"], [("q", KRONECKER), ("mus", {"u": POINT_00, "w": POINT_E1})]),
+    (["containment-check"], [("a", IDENTITY_2), ("mu", POINT_00), ("nu", POINT_E1)]),
+    (["qgr-witness-check"], [("q", KRONECKER), ("mus", {"u": POINT_E1, "w": POINT_E1}),
+                             ("wit", {"u": [["1", "0"]], "w": [["1", "0"]]})]),
+    (["flag-check"], [("flag", [U31, UNIFORM_32])]),
+    (["relations"], [("q", KRONECKER)]),
+]
+
+
+def test_one_call_per_command_covers_every_command():
+    assert sorted(argv[0] for argv, _ in ONE_PER_COMMAND) == sorted(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv,files", ONE_PER_COMMAND, ids=[a[0] for a, _ in ONE_PER_COMMAND])
+def test_verdict_is_indented_with_sorted_keys(write, capsys, argv, files):
+    code = main(argv + [write(name + ".json", data) for name, data in files])
+    out = capsys.readouterr().out
+    assert code in (0, 1)
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_long_verdict_is_written_in_batches(write, capsys):
+    # relations of the n = 7 identity chain, ranks (3, 5): about 1.5 MB of
+    # JSON in some 10^5 chunks, written in a few dozen calls
+    identity = [["1" if i == j else "0" for j in range(7)] for i in range(7)]
+    chain = {"n": 7, "vertices": ["v1", "v2"], "dim": {"v1": 3, "v2": 5},
+             "arrows": [{"src": "v1", "dst": "v2", "matrix_field": identity}]}
+    assert main(["relations", write("chain7.json", chain)]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+
+    class Counting(io.StringIO):
+        writes = 0
+
+        def write(self, s):
+            self.writes += 1
+            return super().write(s)
+
+    stream = Counting()
+    jsonio.dump(verdict, stream)
+    assert stream.getvalue() == json.dumps(verdict, indent=2, sort_keys=True)
+    assert len(stream.getvalue()) > 10 ** 6 and stream.writes < 200

@@ -3,8 +3,10 @@ code they replaced.
 
 ``_relations``, ``_merge_field``, ``_merge_trop``, ``_proportional`` and
 ``_trop_projective_key`` below are the previous generator and dedupe, kept
-verbatim: every addition there is a Puiseux sum and every comparison a
-Puiseux product.  ``reference_grassmann``, ``reference_quiver`` and
+verbatim, and ``_merged`` is the body of the ``TropPolynomial.merged``
+classmethod that ``_merge_trop`` called: every addition there is a
+Puiseux sum and every comparison a Puiseux product.
+``reference_grassmann``, ``reference_quiver`` and
 ``reference_all_relations`` are the previous bodies of the three public
 functions, without the walk cap (tested in test_quiver).  Values and order
 of the yielded (I, J, classical, tropical) tuples and of the
@@ -31,6 +33,7 @@ from tropquiver import (
     quiver_pluecker_relations,
     valuation,
 )
+from tropquiver.trop import _coerce
 
 from helpers import rand_arrow, rand_scaled_arrow, rand_sparse_puiseux
 
@@ -53,9 +56,20 @@ def _merge_field(raw):
     return classical, TropPolynomial((valuation(c), m) for m, c in classical)
 
 
+def _merged(cls, terms):
+    """Build from raw terms, merging duplicate exponents by minimum."""
+    table = {}
+    for coeff, expo in terms:
+        expo = tuple(sorted(expo))
+        coeff = _coerce(coeff)
+        if expo not in table or coeff < table[expo]:
+            table[expo] = coeff
+    return cls((c, e) for e, c in sorted(table.items()))
+
+
 def _merge_trop(raw):
     """Tropical layer only: signs vanish, colliding monomials merge by minimum."""
-    return None, TropPolynomial.merged((entry, mono) for _, entry, mono in raw)
+    return None, _merged(TropPolynomial, ((entry, mono) for _, entry, mono in raw))
 
 
 def _relations(n, r, s, src, dst, columns, merge):

@@ -150,10 +150,6 @@ class TestTropPolynomial:
         with pytest.raises(UsageError):
             TropPolynomial([(0, ("x",)), (1, ("x",))])
 
-    def test_merged_takes_minimum(self):
-        p = TropPolynomial.merged([(3, ("x",)), (1, ("x",)), (0, ("y",))])
-        assert p == TropPolynomial([(1, ("x",)), (0, ("y",))])
-
     def test_vanishing(self):
         p = TropPolynomial([(0, ("x",)), (0, ("y",))])
         assert trop_poly_vanishes(p, {"x": TropValue(1), "y": TropValue(1)})
