@@ -13,7 +13,10 @@ checkout's src/ gives that version's digest.  Everything runs in process:
 - --help for the top level and for every subcommand;
 - inputs that exit 2: malformed JSON, a missing file, one input past the
   cap of each capped walk, and the rejected inputs of tests/test_cli.py
-  (EXIT_2).
+  (EXIT_2);
+- exchange-axiom and quotient inputs at both ends of its walks: the
+  sparse n = 12 table of tests/test_cli.py (SPARSE_12), and lowered
+  tables on n = 8 (bench/generators.lowered), which are rejected.
 
 Each output enters the hash as the exact text the command wrote, with
 two edits: the value of elapsed_ms is masked and input paths are reduced
@@ -35,7 +38,8 @@ from itertools import combinations
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "bench"), os.path.join(ROOT, "tests")]
 
-from test_cli import EXIT_2  # noqa: E402
+import generators as gen  # noqa: E402
+from test_cli import EXIT_2, SPARSE_12  # noqa: E402
 from tropquiver import cli  # noqa: E402
 from workloads import build_cli_mixed  # noqa: E402
 
@@ -65,6 +69,22 @@ OVER_CAP = [
     ("relations", [("quiver30", Q30)]),
     ("check-matroid", [("u12_6", _uniform(12, 6))]),
 ]
+
+
+def exchange_inputs():
+    """check-matroid, quotient and flag-check on SPARSE_12, where pairs of
+    bases are few, and on dense n = 8 tables with one basis lowered."""
+    rng = random.Random("cli_golden:lowered8")
+    lo, hi = (gen.table(m) for m in gen.nested_matroids(rng, 8, (3, 5)))
+    bad_lo, bad_hi = gen.lowered(lo, above=hi), gen.lowered(hi)
+    lo8, hi8 = gen.enc_matroid(8, 3, bad_lo), gen.enc_matroid(8, 5, hi)
+    return [
+        ("check-matroid", [("sparse12", SPARSE_12)]),
+        ("quotient", [("sparse12", SPARSE_12), ("sparse12", SPARSE_12)]),
+        ("check-matroid", [("hi8_lowered", gen.enc_matroid(8, 5, bad_hi))]),
+        ("quotient", [("lo8_lowered", lo8), ("hi8", hi8)]),
+        ("flag-check", [("flag8_lowered", [lo8, hi8])]),
+    ]
 
 
 _ELAPSED = re.compile(r'"elapsed_ms": [^,\n]*')
@@ -99,10 +119,10 @@ def records(seeds):
         for name in [None] + list(cli.COMMANDS):
             argv = ["--help"] if name is None else [name, "--help"]
             out.append([" ".join(argv)] + _run(argv, directory))
-        errors = [("check-matroid", [("malformed", '{"n": 3, "r": ')]),
+        inputs = [("check-matroid", [("malformed", '{"n": 3, "r": ')]),
                   ("check-matroid", [("missing", None)])] + OVER_CAP
-        errors += [(command, files) for command, files, _ in EXIT_2]
-        for command, files in errors:
+        inputs += [(command, files) for command, files, _ in EXIT_2]
+        for command, files in inputs + exchange_inputs():
             argv = [command]
             for name, data in files:
                 argv.append(os.path.join(directory, name + ".json"))

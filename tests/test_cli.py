@@ -47,6 +47,15 @@ KRONECKER = {
 POINT_00 = {"n": 2, "r": 1, "values": [[[1], "0"], [[2], "0"]]}
 POINT_E1 = {"n": 2, "r": 1, "values": [[[1], "0"]]}
 
+# n = 12, rank 6, seven bases: 1..5 are coloops and 6..12 are parallel.  49
+# pairs of bases, against C(12, 5) * C(12, 7) = 627264 pairs of subsets
+# for the Grassmann-Pluecker relations.  scripts/cli_golden.py runs it too.
+SPARSE_12 = {
+    "n": 12,
+    "r": 6,
+    "values": [[[1, 2, 3, 4, 5, e], str(e - 6)] for e in range(6, 13)],
+}
+
 IDENTITY_2 = [["0", "inf"], ["inf", "0"]]
 IDENTITY_3 = [["0", "inf", "inf"], ["inf", "0", "inf"], ["inf", "inf", "0"]]
 MAP_2 = {"n": 2, "f": [{"i": 1, "to": 1, "shift": "0"}, {"i": 2, "to": 2, "shift": "0"}]}
@@ -436,6 +445,16 @@ class TestErrors:
         assert time.monotonic() - start < 1.0
         assert code == 2 and set(out) == {"command", "error"}
         assert "pairs of bases; the cap is 20000" in out["error"]
+
+    @pytest.mark.parametrize("argv", [["check-matroid", "m"], ["quotient", "m", "m"]])
+    def test_sparse_table_on_a_large_ground_set(self, write, capsys, argv):
+        # few pairs of bases, far more pairs of subsets: the walk over pairs
+        # of bases decides, below the cap and quickly
+        argv = [write("m.json", SPARSE_12) if a == "m" else a for a in argv]
+        start = time.monotonic()
+        code, out = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert code in (0, 1) and "error" not in out
 
     def test_oversized_integer(self, tmp_path, capsys):
         path = tmp_path / "m.json"
