@@ -7,15 +7,17 @@ Ground sets are {1, ..., n}; basis-value tables are stored sparsely
 constructions care about the actual values; comparisons that are only
 meaningful projectively normalize on the fly.  The exchange axiom is
 *not* enforced at construction: wrap a candidate table and interrogate it
-with :func:`is_valuated_matroid`.  One exchange kernel serves it and
-:func:`quotient_check`, walking pairs of finite bases.  One walk serves
-both membership routes: is the minimum of val(A_ij) + c_j + C_i, over a
-cocircuit-side c and a circuit-side C, attained twice, counting every
-term (relations) or each target index i once (containment_check, whose
-circuit half is tls_membership, and circuits, cocircuits)?  Both kernels
-compare lcm-scaled ints over bitmasks, which is still exact.  Every walk
-over subsets, or pairs of subsets or bases, is counted before it starts,
-against WALK_CAP.
+with :func:`is_valuated_matroid`.  One walk decides membership, the
+exchange axiom and quotients: is the minimum of val(A_ij) + c_j + C_i,
+over a cocircuit-side c and a circuit-side C, attained twice, counting
+every term (relations, and under the identity the exchange axiom and
+quotients) or each target index i once (containment_check, whose circuit
+half is tls_membership, and circuits, cocircuits)?  The exchange loop over
+pairs of finite bases names the certificate of a rejection and decides
+sparse tables, whose pairs of bases are fewer than their relations.  Both
+kernels compare lcm-scaled ints over bitmasks, which is still exact.
+Every walk over subsets, or pairs of subsets or bases, is counted before
+it starts, against WALK_CAP.
 """
 
 from __future__ import annotations
@@ -111,11 +113,15 @@ def uniform_matroid(n, r) -> ValuatedMatroid:
 
 
 def is_valuated_matroid(m: ValuatedMatroid):
-    """Brute-force check of the tropical exchange axiom.
+    """Check of the tropical exchange axiom: for bases I, J and i in I - J
+    some j in J - I has m(I - i + j) + m(J - j + i) <= m(I) + m(J).
 
     Returns (True, None) or (False, (I, J, i)) with the lexicographically
     least violating triple.  An infinite left-hand side satisfies the
-    axiom for free.
+    axiom for free.  The axiom holds exactly when every tropical
+    Grassmann-Pluecker relation of m attains its minimum twice, and the
+    relation walk decides it unless the pairs of bases are fewer; see
+    _exchange_violation.
     """
     witness = _exchange_violation(m, m)
     return witness is None, witness
@@ -124,11 +130,31 @@ def is_valuated_matroid(m: ValuatedMatroid):
 def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
     """The lexicographically least (I, J, i) with i in I - J and
     mu(I) + nu(J) < mu(I - i + j) + nu(J - j + i) for every j in J - I, or
-    None.  Walks only pairs of finite bases (an infinite left-hand side
-    never violates), in sorted order, which is the order of combinations;
-    the pairs are counted against WALK_CAP first.
+    None.
+
+    Violations and failing incidence relations are in bijection.  Take
+    (I, J, i) with i in I - J and mu(I) + nu(J) finite.  Relation
+    (I - i, J + i) ranges over j in (J - I) + {i}, and its term at j = i
+    is mu(I) + nu(J); its minimum is attained twice exactly when some j in
+    J - I has mu(I - i + j) + nu(J - j + i) <= mu(I) + nu(J), the exchange
+    condition.  Conversely a unique finite minimum of relation (I', J') at
+    j0 is the violating triple (I' + j0, J' - j0, j0).  So the relation
+    walk of the identity arrow (_unique_minimum, not grouped) decides on
+    any tables; the two walks differ only in order.
+
+    The pairs of finite bases are counted against WALK_CAP first.  When
+    the relation pairs, C(n, r - 1) * C(n, s + 1), are fewer, the relation
+    walk decides, and only a rejection runs the exchange loop, for the
+    certificate; a rejection without a violating triple is a fault of the
+    program and raises RuntimeError.  Otherwise the exchange loop decides.
+    It walks only pairs of finite bases (an infinite left-hand side never
+    violates), in sorted order, which is the order of combinations.
     """
-    check_walk("exchange check", len(mu._finite) * len(nu._finite), "pairs of bases")
+    base_pairs = len(mu._finite) * len(nu._finite)
+    check_walk("exchange check", base_pairs, "pairs of bases")
+    by_relations = subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1) < base_pairs
+    if by_relations and _unique_minimum(TropMatrix.identity(mu.n), mu, nu, grouped=False) is None:
+        return None
     _, (mu_at, nu_at) = _int_tables((mu, nu))
     left, right = ([(b, _mask(b), at[_mask(b)]) for b in sorted(m._finite)]
                    for m, at in ((mu, mu_at), (nu, nu_at)))
@@ -148,6 +174,8 @@ def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
                             break
                 else:
                     return i_set, j_set, i
+    if by_relations:
+        raise RuntimeError("a relation fails but no exchange triple is violated")
     return None
 
 
@@ -319,7 +347,12 @@ def tls_membership(m: ValuatedMatroid, x: TropVector):
 def quotient_check(mu: ValuatedMatroid, nu: ValuatedMatroid):
     """Is mu a valuated matroid quotient of nu (rank(mu) <= rank(nu))?
 
-    Returns (bool, violating (I, J, i) triple or None).
+    Returns (bool, violating (I, J, i) triple or None): the least triple
+    with i in I - J and mu(I) + nu(J) < mu(I - i + j) + nu(J - j + i) for
+    every j in J - I.  Equivalently, every incidence relation, the minimum
+    over j in J - I of mu(I + j) + nu(J - j) for |I| = rank(mu) - 1 and
+    |J| = rank(nu) + 1, is attained twice; the relation walk decides that
+    unless the pairs of bases are fewer (see _exchange_violation).
     """
     if mu.n != nu.n:
         raise ShapeError("quotient requires a common ground set")

@@ -499,7 +499,10 @@ def trop_qgr_witness_check(rep: QuiverRepresentation, mus, witness):
 def flag_mode_check(mus_by_rank):
     """Flag-of-matroids check: consecutive quotient conditions along a
     strictly rank-increasing sequence.  Equals quiver-Dressian membership
-    for the identity-arrow chain quiver.  Returns (bool, certificate)."""
+    for the identity-arrow chain quiver, and each quotient_check runs the
+    relation route's walk on that chain's arrow unless its pairs of bases
+    are fewer.  Returns (bool, certificate), the certificate an exchange
+    triple."""
     mus = list(mus_by_rank)
     if len(mus) < 2:
         raise UsageError("a flag needs at least two matroids")

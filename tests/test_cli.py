@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from tropquiver import cli, jsonio
+from tropquiver import cli, jsonio, matroid
 from tropquiver.cli import main
 
 UNIFORM_32 = {
@@ -487,6 +487,17 @@ class TestErrors:
         code, out = run(capsys, "check-matroid", write("m.json", UNIFORM_32))
         assert code == 3 and set(out) == {"command", "error"}
         assert out["error"] == "internal error: ZeroDivisionError: division by zero"
+
+    def test_relation_walk_without_exchange_triple_exits_3(self, write, capsys, monkeypatch):
+        # U(3, 2) is a valuated matroid: a failing relation reported by the
+        # walk has no violating triple behind it, which is never an accept
+        def spurious(a, mu, nu, grouped):
+            return ((), None), ((), None)
+
+        monkeypatch.setattr(matroid, "_unique_minimum", spurious)
+        code, out = run(capsys, "check-matroid", write("m.json", UNIFORM_32))
+        assert code == 3 and set(out) == {"command", "error"}
+        assert out["error"].startswith("internal error: RuntimeError: ")
 
     @pytest.mark.parametrize("command,files,message", EXIT_2,
                              ids=["-".join([c] + [n for n, _ in f]) for c, f, _ in EXIT_2])
