@@ -149,6 +149,15 @@ def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
     program and raises RuntimeError.  Otherwise the exchange loop decides.
     It walks only pairs of finite bases (an infinite left-hand side never
     violates), in sorted order, which is the order of combinations.
+
+    Each of the two subset counts is at most their product unless one is 0
+    (rank(mu) = 0 or rank(nu) = n), when there is no relation and no triple
+    and the relation walk returns at once; so the pairs of bases bound
+    every subset the relation walk builds.  The choice weighs a relation
+    pair and a pair of bases alike, which is a balance, not a cost: on an
+    accepting table a relation pair is the cheaper, but a rejection runs
+    both walks, so at equal counts the relation walk gains on an accept
+    about what it loses on a rejection.
     """
     base_pairs = len(mu._finite) * len(nu._finite)
     check_walk("exchange check", base_pairs, "pairs of bases")
@@ -242,6 +251,8 @@ def _unique_minimum(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid, gro
     (minimum over j, how many j attain it); each J then combines the groups
     of its entries in O(|J|).
     """
+    if not subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1):
+        return None  # rank(mu) = 0 or rank(nu) = n: no pair, so no vector is built
     entries = [(i, j, v.value) for i, row in enumerate(a.rows, 1)
                for j, v in enumerate(row, 1) if v.is_finite]
     scale, (mu_at, nu_at) = _int_tables((mu, nu), [x for _, _, x in entries])

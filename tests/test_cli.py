@@ -456,6 +456,35 @@ class TestErrors:
         assert time.monotonic() - start < 1.0
         assert code in (0, 1) and "error" not in out
 
+    @pytest.mark.parametrize("argv,ranks", [
+        (argv, ranks) for ranks in [(0, 14), (15, 30)] for argv in [
+            ["quotient", "mu", "nu"],
+            ["flag-check", "flag"],
+            ["containment-check", "identity", "mu", "nu"],
+        ]] + [(["qdr-check", "--cross-check", "quiver", "tuple"], (15, 30))],
+        ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else x[0])
+    def test_no_relation_on_a_large_ground_set(self, write, capsys, argv, ranks):
+        # rank(mu) = 0 or rank(nu) = n: no (I, J) pair and one pair of bases,
+        # though one side alone has C(30, 15) subsets
+        r, s = ranks
+        identity = [["0" if i == j else "inf" for j in range(30)] for i in range(30)]
+        mu = {"n": 30, "r": r, "values": [[list(range(1, r + 1)), "0"]]}
+        nu = {"n": 30, "r": s, "values": [[list(range(1, s + 1)), "0"]]}
+        files = {
+            "mu": mu,
+            "nu": nu,
+            "flag": [mu, nu],
+            "identity": identity,
+            "quiver": {"n": 30, "vertices": ["u", "w"], "dim": {"u": r, "w": s},
+                       "arrows": [{"src": "u", "dst": "w", "matrix_trop": identity}]},
+            "tuple": {"u": mu, "w": nu},
+        }
+        argv = [write(a + ".json", files[a]) if a in files else a for a in argv]
+        start = time.monotonic()
+        code, out = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert code == 0 and "error" not in out
+
     def test_oversized_integer(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text('{"n": %s, "r": 1, "values": []}' % ("9" * 5000))
