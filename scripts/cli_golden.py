@@ -10,7 +10,8 @@ checkout's src/ gives that version's digest.  Everything runs in process:
 - every op of the benchmark's cli_mixed cycle for each seed, on the
   fixtures that bench/workloads.build_cli_mixed writes into a temporary
   directory;
-- --help for the top level and for every subcommand;
+- --help for the top level and for every subcommand, and the argvs that
+  argparse answers itself (tests/test_cli.py, USAGE_ARGVS);
 - inputs that exit 2: malformed JSON, a missing file, one input past the
   cap of each capped walk, and the rejected inputs of tests/test_cli.py
   (EXIT_2);
@@ -21,6 +22,8 @@ checkout's src/ gives that version's digest.  Everything runs in process:
 Each output enters the hash as the exact text the command wrote, with
 two edits: the value of elapsed_ms is masked and input paths are reduced
 to their base names.  Whitespace, indentation and key order are compared.
+Each record also holds the sha256 of what the command wrote to stderr
+(usage errors), its paths reduced the same way.
 """
 
 import argparse
@@ -39,7 +42,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "bench"), os.path.join(ROOT, "tests")]
 
 import generators as gen  # noqa: E402
-from test_cli import EXIT_2, SPARSE_12  # noqa: E402
+from test_cli import EXIT_2, SPARSE_12, USAGE_ARGVS  # noqa: E402
 from tropquiver import cli  # noqa: E402
 from workloads import build_cli_mixed  # noqa: E402
 
@@ -97,28 +100,44 @@ def _normalized(code, text, directory):
     return [code, _ELAPSED.sub('"elapsed_ms": "masked"', text)]
 
 
+def _captured(run, directory):
+    """[exit code, output text, sha256 of stderr] of run(), which returns
+    (exit code, output text), normalized as _normalized does."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = run()
+    err_text = err.getvalue().replace(directory + os.sep, "")
+    return _normalized(code, text, directory) + [hashlib.sha256(err_text.encode()).hexdigest()]
+
+
 def _run(argv, directory):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # --help
-            code = exc.code
-    return _normalized(code, buf.getvalue(), directory)
+    def run():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # --help and usage errors
+                code = exc.code
+        return code, buf.getvalue()
+
+    return _captured(run, directory)
 
 
 def records(seeds):
-    """[label, exit code, output] for every input, in a fixed order."""
+    """[label, exit code, output, sha256 of stderr] for every input, in a
+    fixed order."""
     out = []
     with tempfile.TemporaryDirectory() as workdir:
         directory = os.path.join(workdir, "fixtures")  # where build_cli_mixed writes
         for seed in seeds:
             for slot in build_cli_mixed(random.Random("cli_mixed:%d" % seed), workdir):
                 out.append(["cli_mixed:%d:%s" % (seed, slot.label)]
-                           + _normalized(*slot.run(), directory))
+                           + _captured(slot.run, directory))
         for name in [None] + list(cli.COMMANDS):
             argv = ["--help"] if name is None else [name, "--help"]
             out.append([" ".join(argv)] + _run(argv, directory))
+        for argv in USAGE_ARGVS:
+            out.append(["usage: " + " ".join(argv)] + _run(argv, directory))
         inputs = [("check-matroid", [("malformed", '{"n": 3, "r": ')]),
                   ("check-matroid", [("missing", None)])] + OVER_CAP
         inputs += [(command, files) for command, files, _ in EXIT_2]

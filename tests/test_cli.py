@@ -124,6 +124,22 @@ EXIT_2 = [
 ]
 
 
+# Argvs that argparse answers itself, before any file is read: usage
+# errors (exit 2) and top-level help.  scripts/cli_golden.py replays them too.
+USAGE_ARGVS = [
+    [],
+    ["no-such-command"],
+    ["-h"],
+    ["relations", "a", "b"],
+    ["qdr-check", "--cross-chek", "a", "b"],
+    ["quotient", "a"],
+    ["relations"],
+    ["relations", "--cross-check", "a"],
+    ["--cross-check", "qdr-check", "a", "b"],
+    ["check-matroid", "--bogus"],
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -544,6 +560,19 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+def _exited(capsys, call):
+    """(exit code, stdout, stderr) of call(), which argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        call()
+    return (exc.value.code,) + tuple(capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=[" ".join(a) or "(none)" for a in USAGE_ARGVS])
+def test_usage_is_the_full_parsers(capsys, argv):
+    expected = _exited(capsys, lambda: cli.build_parser().parse_args(argv))
+    assert _exited(capsys, lambda: main(argv)) == expected
 
 
 def test_help_lists_every_subcommand(capsys):
