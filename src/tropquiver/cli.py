@@ -1,7 +1,10 @@
 """JSON-in, JSON-out command line front end.
 
 Every subcommand is one entry of COMMANDS; the parser, the dispatcher and
-the input digests of the verdict are all read off that table.  A verdict
+the input digests of the verdict are all read off that table.  A call is
+parsed by a parser that holds only the subcommand it names, which is
+cheaper than building all of them; every other argv goes to the full
+parser, so usage errors and help read as the full parser prints them.  A verdict
 is indented JSON with sorted keys, written by jsonio.dump in batched
 writes: the same bytes as json.dump(verdict, indent=2, sort_keys=True).
 
@@ -144,13 +147,15 @@ def _run_command(args):
     return ok, payload, dict(*extra, inputs=digests)
 
 
-def build_parser():
+def build_parser(names=COMMANDS):
+    """The parser of the subcommands named, by default of all of them."""
     parser = argparse.ArgumentParser(
         prog="tropquiver",
         description="Exact decision procedures for valuated matroids on quivers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, cmd in COMMANDS.items():
+    for name in names:
+        cmd = COMMANDS[name]
         # an explicit help, even None, lists the subcommand in --help
         p = sub.add_parser(name, help=None)
         for arg, _ in cmd.inputs:
@@ -165,8 +170,22 @@ def _error(command, message):
     sys.stdout.write("\n")
 
 
+def _parse(argv):
+    """The parsed argv.  A parser of the invoked subcommand alone parses a
+    well-formed call; anything else (no subcommand first, arguments left
+    over) is parsed again by the full parser, whose usage line lists every
+    subcommand, so that each usage error and help text is the full
+    parser's.  parse_known_args prints nothing about leftovers, so an
+    error is printed once."""
+    if argv and argv[0] in COMMANDS:
+        args, rest = build_parser(argv[:1]).parse_known_args(argv)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     start = time.monotonic()
     try:
         ok, payload, *extra = _run_command(args)

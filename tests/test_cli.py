@@ -1,5 +1,6 @@
 """Command line front end: exit codes, JSON payloads, error handling."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -573,6 +574,17 @@ def _exited(capsys, call):
 def test_usage_is_the_full_parsers(capsys, argv):
     expected = _exited(capsys, lambda: cli.build_parser().parse_args(argv))
     assert _exited(capsys, lambda: main(argv)) == expected
+
+
+def test_a_call_builds_only_its_subparser(write, capsys, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw))
+    path = write("m.json", UNIFORM_32)
+    for _ in range(2):  # and builds it again: no parser is kept between calls
+        assert main(["check-matroid", path]) == 0
+    assert added == ["check-matroid", "check-matroid"]
 
 
 def test_help_lists_every_subcommand(capsys):
