@@ -6,7 +6,8 @@ nothing else; infinity is the string "inf".
 Vectors are arrays, matrices arrays of row arrays.  Puiseux elements are
 term lists [{"c": "p/q", "e": "a/b"}, ...]; zero is the empty list.
 dump writes a verdict as json.dump(obj, stream, indent=2, sort_keys=True)
-does, byte for byte, in a few large writes instead of one per token.
+does, byte for byte, in a few large writes instead of one per token, and
+renders each repeated relation monomial once.
 """
 
 from __future__ import annotations
@@ -198,22 +199,34 @@ def flag_from_json(data):
     return [matroid_from_json(m) for m in data]
 
 
+class _Monomial(tuple):
+    """A monomial of relation_to_json, ((vertex, subset), ...), whose
+    vertex names are str and whose subsets hold ints.  Equal tuples of
+    such leaves render to equal text, which is not so for tuples at large
+    ((1,) == (True,) == (1.0,) and (0.0,) == (-0.0,)), so dump renders
+    each distinct _Monomial once per indent."""
+
+    __slots__ = ()
+
+
+def _monomial(m):
+    (u, _), (w, _) = m  # p_{I+j} q_{J-i}: two factors
+    return _Monomial(m) if type(u) is str and type(w) is str else m
+
+
 def relation_to_json(rel):
     """A relation of quiver.all_relations; a monomial is an array of
-    [vertex, subset] factors."""
-    def monomial(m):
-        return [[v, list(subset)] for v, subset in m]
-
+    [vertex, subset] factors, handed to dump as tuples."""
     return {
         "kind": rel["kind"],
         "where": rel["where"],
         "I": list(rel["I"]),
         "J": list(rel["J"]),
         "classical": None if rel["classical"] is None else [
-            {"monomial": monomial(m), "coeff": puiseux_to_json(c)} for m, c in rel["classical"]
+            {"monomial": _monomial(m), "coeff": puiseux_to_json(c)} for m, c in rel["classical"]
         ],
         "tropical": [
-            {"monomial": monomial(m), "coeff": value_to_json(c)} for c, m in rel["tropical"].terms
+            {"monomial": _monomial(m), "coeff": value_to_json(c)} for c, m in rel["tropical"].terms
         ],
     }
 
@@ -243,68 +256,84 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
+def _write(x, nl, out, stream, memo) -> None:
+    """Append the text of x to out, x on a line whose newline and indent
+    are nl.  With a stream, write out to it and clear it once it holds
+    _BATCH chunks; without one (a monomial being rendered), never.  memo
+    maps (monomial, nl) to the monomial's text.  A module function, not a
+    closure, so that a call leaves no reference cycle behind to hold out
+    and memo until the garbage collector runs."""
+    # containers first: the loops below write str and int items inline,
+    # so nearly every call is for a container
+    if type(x) is _Monomial:
+        text = memo.get((x, nl))
+        if text is None:
+            part = []
+            _write(tuple(x), nl, part, None, memo)
+            text = memo[x, nl] = "".join(part)
+        out.append(text)
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        append = out.append
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(x):  # _string raises TypeError on a non-str key
+            item = x[key]
+            if type(item) is str:
+                append(sep + _string(key) + ": " + _string(item))
+            elif type(item) is int:
+                append(sep + _string(key) + ": " + int.__repr__(item))
+            else:
+                append(sep + _string(key) + ": ")
+                _write(item, inner, out, stream, memo)
+            sep = comma
+        append(nl + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        append = out.append
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in x:
+            if type(item) is str:
+                append(sep + _string(item))
+            elif type(item) is int:
+                append(sep + int.__repr__(item))
+            else:
+                append(sep)
+                _write(item, inner, out, stream, memo)
+            sep = comma
+        append(nl + "]")
+    elif isinstance(x, str):
+        out.append(_string(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        out.append(_float(x))
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
+    if len(out) >= _BATCH and stream is not None:
+        stream.write("".join(out))
+        out.clear()
+
+
 def dump(obj, stream) -> None:
     """Write obj to stream exactly as json.dump(obj, stream, indent=2,
     sort_keys=True) does, without json's generator per nesting level:
     chunks collect in a list, joined and written once that holds _BATCH of
-    them and once at the end.  obj is built of str, int, float, bool, None,
-    lists, tuples and dicts with str keys; anything else raises
-    TypeError."""
-    chunks = []
-    append = chunks.append
-
-    def value(x, nl):
-        # nl is the newline and indent of the line that holds x
-        if isinstance(x, str):
-            append(_string(x))
-        elif x is None:
-            append("null")
-        elif x is True:
-            append("true")
-        elif x is False:
-            append("false")
-        elif isinstance(x, int):
-            append(int.__repr__(x))
-        elif isinstance(x, float):
-            append(_float(x))
-        elif isinstance(x, (list, tuple)):
-            if not x:
-                append("[]")
-                return
-            inner = nl + "  "
-            sep, comma = "[" + inner, "," + inner
-            for item in x:
-                if type(item) is str:
-                    append(sep + _string(item))
-                elif type(item) is int:
-                    append(sep + int.__repr__(item))
-                else:
-                    append(sep)
-                    value(item, inner)
-                sep = comma
-            append(nl + "]")
-        elif isinstance(x, dict):
-            if not x:
-                append("{}")
-                return
-            inner = nl + "  "
-            sep, comma = "{" + inner, "," + inner
-            for key in sorted(x):  # _string raises TypeError on a non-str key
-                item = x[key]
-                if type(item) is str:
-                    append(sep + _string(key) + ": " + _string(item))
-                elif type(item) is int:
-                    append(sep + _string(key) + ": " + int.__repr__(item))
-                else:
-                    append(sep + _string(key) + ": ")
-                    value(item, inner)
-                sep = comma
-            append(nl + "}")
-        else:
-            raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
-        if len(chunks) >= _BATCH:
-            stream.write("".join(chunks))
-            chunks.clear()
-
-    value(obj, "\n")
-    stream.write("".join(chunks))
+    them and once at the end.  The text of a monomial that relation_to_json
+    hands over is rendered once per indent and reused at every repeat.
+    obj is built of str, int, float, bool, None, lists, tuples and dicts
+    with str keys; anything else raises TypeError."""
+    out = []
+    _write(obj, "\n", out, stream, {})
+    stream.write("".join(out))
