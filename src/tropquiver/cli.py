@@ -2,11 +2,10 @@
 
 Every subcommand is one entry of COMMANDS; the parser, the dispatcher and
 the input digests of the verdict are all read off that table.  A call is
-parsed by a parser that holds only the subcommand it names, which is
-cheaper than building all of them; every other argv goes to the full
-parser, so usage errors and help read as the full parser prints them.  A verdict
-is indented JSON with sorted keys, written by jsonio.dump in batched
-writes: the same bytes as json.dump(verdict, indent=2, sort_keys=True).
+parsed first by a parser of the subcommand it names alone (_parse).  A
+verdict is indented JSON with sorted keys, written by jsonio.dump in
+batched writes: the same bytes as json.dump(verdict, indent=2,
+sort_keys=True).
 
 Exit codes: 0 = predicate true / object emitted, 1 = predicate false
 (certificate emitted), 2 = input or usage error, 3 = internal error (its
@@ -171,12 +170,11 @@ def _error(command, message):
 
 
 def _parse(argv):
-    """The parsed argv.  A parser of the invoked subcommand alone parses a
-    well-formed call; anything else (no subcommand first, arguments left
-    over) is parsed again by the full parser, whose usage line lists every
-    subcommand, so that each usage error and help text is the full
-    parser's.  parse_known_args prints nothing about leftovers, so an
-    error is printed once."""
+    """The parsed argv.  A parser of the named subcommand alone, cheaper to
+    build than all of them, parses a well-formed call.  Any other argv (no
+    command name first, or arguments left over, about which
+    parse_known_args prints nothing) goes to the full parser, so every
+    usage error and help text is the one it prints, once."""
     if argv and argv[0] in COMMANDS:
         args, rest = build_parser(argv[:1]).parse_known_args(argv)
         if not rest:
