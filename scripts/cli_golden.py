@@ -17,7 +17,10 @@ checkout's src/ gives that version's digest.  Everything runs in process:
   (EXIT_2);
 - exchange-axiom and quotient inputs at both ends of its walks: the
   sparse n = 12 table of tests/test_cli.py (SPARSE_12), and lowered
-  tables on n = 8 (bench/generators.lowered), which are rejected.
+  tables on n = 8 (bench/generators.lowered), which are rejected;
+- field inputs with rational exponents and coefficients
+  (tests/test_minor_reference.py, rational_matrix): a qgr-witness-check
+  that accepts, one rejected at its subrepresentation check, and realize.
 
 Each output enters the hash as the exact text the command wrote, with
 two edits: the value of elapsed_ms is masked and input paths are reduced
@@ -43,7 +46,9 @@ sys.path[:0] = [os.path.join(ROOT, "bench"), os.path.join(ROOT, "tests")]
 
 import generators as gen  # noqa: E402
 from test_cli import EXIT_2, SPARSE_12, USAGE_ARGVS  # noqa: E402
+from test_minor_reference import rational_matrix  # noqa: E402
 from tropquiver import cli  # noqa: E402
+from tropquiver.puiseux import FieldMatrix, pluecker_valuations, rank_via_minors  # noqa: E402
 from workloads import build_cli_mixed  # noqa: E402
 
 
@@ -87,6 +92,34 @@ def exchange_inputs():
         ("check-matroid", [("hi8_lowered", gen.enc_matroid(8, 5, bad_hi))]),
         ("quotient", [("lo8_lowered", lo8), ("hi8", hi8)]),
         ("flag-check", [("flag8_lowered", [lo8, hi8])]),
+    ]
+
+
+def rational_inputs():
+    """qgr-witness-check on an n = 5 arrow u -> w with rational entries,
+    ranks (2, 3): V stacks A·U on one more row, and its broken copy has a
+    column zeroed where A·U is nonzero.  realize on a rational 3 x 6
+    matrix of full row rank."""
+    rng = random.Random("cli_golden:rational")
+    while True:
+        a, u = rational_matrix(rng, 5, 5), rational_matrix(rng, 2, 5)
+        v = FieldMatrix([a.matvec(row) for row in u.rows] + list(rational_matrix(rng, 1, 5).rows))
+        broken = gen.broken_target(rng, a, u, v) if rank_via_minors(u) == 2 else None
+        if broken is not None and rank_via_minors(v) == 3:
+            break
+    while True:
+        m = rational_matrix(rng, 3, 6)
+        if rank_via_minors(m) == 3:
+            break
+    quiver = gen.enc_quiver(5, ["u", "w"], [("u", "w", a)], {"u": 2, "w": 3})
+    mus = {"u": gen.enc_matroid(5, 2, gen.table(pluecker_valuations(u))),
+           "w": gen.enc_matroid(5, 3, gen.table(pluecker_valuations(v)))}
+    inputs = [("quiver_q", quiver), ("tuple_q", mus)]
+    return [
+        ("qgr-witness-check", inputs + [("witness_q", {"u": gen.enc_field(u), "w": gen.enc_field(v)})]),
+        ("qgr-witness-check", inputs + [("witness_q_broken", {"u": gen.enc_field(u),
+                                                               "w": gen.enc_field(broken)})]),
+        ("realize", [("matrix_q", gen.enc_field(m))]),
     ]
 
 
@@ -141,7 +174,7 @@ def records(seeds):
         inputs = [("check-matroid", [("malformed", '{"n": 3, "r": ')]),
                   ("check-matroid", [("missing", None)])] + OVER_CAP
         inputs += [(command, files) for command, files, _ in EXIT_2]
-        for command, files in inputs + exchange_inputs():
+        for command, files in inputs + exchange_inputs() + rational_inputs():
             argv = [command]
             for name, data in files:
                 argv.append(os.path.join(directory, name + ".json"))
