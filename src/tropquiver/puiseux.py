@@ -9,8 +9,12 @@ exponent denominators and each row's coefficients by the lcm of that row's
 denominators, so a minor is an {int: int} map equal to the true minor times
 the product L of the row scales, with exponents times N.  A determinant is
 converted back exactly (exponents over N, coefficients over L); a Pluecker
-valuation is the least scaled exponent over N.  The valuation of an element
-is its least exponent; zero has valuation infinity.
+valuation is the least scaled exponent over N.  Containment scales A, U and V
+with one N and puts each image row A*u on top of V's rows, so V's subminors
+are computed once per call and shared by every image row.  A matrix-vector
+product also runs on scaled integers and is converted back once per output
+term.  The valuation of an element is its least exponent; zero has valuation
+infinity.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 
 from .errors import CapacityError, NotARealizationError, ShapeError, UsageError
 from .matroid import ValuatedMatroid
@@ -178,13 +182,13 @@ class FieldMatrix:
         v = tuple(_coerce(e) for e in v)
         if len(v) != self.n_cols:
             raise ShapeError("vector length mismatch")
-        out = []
-        for row in self.rows:
-            acc = {}
-            for a, x in zip(row, v):
-                _mul_add(acc, a._terms, x._terms)
-            out.append(PuiseuxElement(acc))
-        return tuple(out)
+        exp_scale, (flat, vec), (a_scale, v_scale) = _scaled([_flat(self), v])
+        coeff_scale = a_scale * v_scale
+        return tuple(
+            PuiseuxElement({Fraction(e, exp_scale): Fraction(c, coeff_scale)
+                            for e, c in image.items()})
+            for image in _image(flat, self.n_cols, vec)
+        )
 
     def __repr__(self):
         return "[" + "; ".join(", ".join(repr(e) for e in r) for r in self.rows) + "]"
@@ -196,15 +200,61 @@ class FieldMatrix:
         )
 
 
-def _check_cap(m: FieldMatrix):
-    if min(m.n_rows, m.n_cols) > SIZE_CAP[0] or max(m.n_rows, m.n_cols) > SIZE_CAP[1]:
+def _check_cap(n_rows, n_cols):
+    if min(n_rows, n_cols) > SIZE_CAP[0] or max(n_rows, n_cols) > SIZE_CAP[1]:
         raise CapacityError("matrix size cap is %dx%d" % SIZE_CAP)
+
+
+def _flat(m: FieldMatrix):
+    """The entries of m as one row, so that _scaled gives all of them one
+    coefficient scale."""
+    return [x for row in m.rows for x in row]
+
+
+def _scaled(rows):
+    """Rows of Puiseux elements over lcm-scaled integers.
+
+    Returns (N, scaled, scales).  N is the lcm of every exponent
+    denominator in rows; scales[i] is the lcm of row i's coefficient
+    denominators; scaled[i] is row i as a list of {int exponent: int
+    coefficient} dicts, exponents times N and coefficients times
+    scales[i]."""
+    # reduce, not lcm(*...): unpacking a generator builds and resizes an
+    # argument tuple on every call, which raised peak RSS over long runs
+    exp_scale = reduce(lcm, (e.denominator for row in rows for x in row for e in x._terms), 1)
+    scaled, scales = [], []
+    for row in rows:
+        row_scale = reduce(lcm, (c.denominator for x in row for c in x._terms.values()), 1)
+        scales.append(row_scale)
+        scaled.append([
+            {e.numerator * (exp_scale // e.denominator):
+             c.numerator * (row_scale // c.denominator) for e, c in x._terms.items()}
+            for x in row
+        ])
+    return exp_scale, scaled, scales
+
+
+def _image(flat, n_cols, vec):
+    """A·u over scaled integers, for A's scaled entries in one row (flat,
+    n_cols per row of A) and u's scaled entries (vec): one {int: int} map
+    per row of A, without zero coefficients."""
+    out = []
+    for i in range(0, len(flat), n_cols):
+        acc = {}
+        for x, y in zip(flat[i : i + n_cols], vec):
+            if x and y:
+                _mul_add(acc, x, y)
+        out.append({e: c for e, c in acc.items() if c})
+    return out
 
 
 def _expand(rows, memo, cols):
     """Laplace expansion of the minor of the bottom len(cols) scaled rows on
-    cols, along its top row.  A module function rather than a closure, so
-    that the memo is freed by reference counting, not by the cycle collector."""
+    cols, along its top row.  The memo holds proper subminors, keyed by
+    their columns; a key names the bottom rows, so matrices that share
+    their bottom rows can share one memo.  A module function rather than a
+    closure, so that the memo is freed by reference counting, not by the
+    cycle collector."""
     row = rows[len(rows) - len(cols)]
     acc = {}
     for k, j in enumerate(cols):
@@ -217,41 +267,36 @@ def _expand(rows, memo, cols):
     return {e: c for e, c in acc.items() if c}
 
 
+def _minors(rows, n_cols, memo=None):
+    """(cols, minor) for each len(rows)-subset of columns in combinations
+    order, where minor is the scaled maximal minor as _expand returns it.
+    Maximal minors are not memoized; memo defaults to a fresh one."""
+    if memo is None:
+        memo = {(): {0: 1}}
+    return ((cols, _expand(rows, memo, cols))
+            for cols in combinations(range(n_cols), len(rows)))
+
+
+def _full_row_rank(rows, n_cols, memo=None) -> bool:
+    """Some maximal minor of the scaled rows is nonzero; stops at the first
+    one."""
+    return any(minor for _, minor in _minors(rows, n_cols, memo))
+
+
 def _maximal_minors(m: FieldMatrix):
     """Every maximal minor of m, by one Laplace expansion along the rows
     over lcm-scaled integers.
 
-    Returns (N, L, minors).  N is the lcm of all exponent denominators and L
-    the product over the rows of the lcm of that row's coefficient
-    denominators, so every entry, scaled, is an {int exponent: int
-    coefficient} dict.  minors yields (cols, minor) for each n_rows-subset
-    of columns in combinations order, where minor is such a dict, without
-    zero coefficients, equal to L times the true minor with its exponents
-    times N.  Proper subminors (the bottom rows on some columns) are keyed
-    by columns and computed once.  The size cap is checked before anything
-    is scaled."""
-    _check_cap(m)
-    # reduce, not lcm(*...): unpacking a generator builds and resizes an
-    # argument tuple on every call, which raised peak RSS over long runs
-    exp_scale = reduce(lcm, (e.denominator for row in m.rows for x in row for e in x._terms), 1)
-    rows, coeff_scale = [], 1
-    for row in m.rows:
-        row_scale = reduce(lcm, (c.denominator for x in row for c in x._terms.values()), 1)
-        coeff_scale *= row_scale
-        rows.append([
-            {e.numerator * (exp_scale // e.denominator):
-             c.numerator * (row_scale // c.denominator) for e, c in x._terms.items()}
-            for x in row
-        ])
-    memo = {(): {0: 1}}
-    minors = ((cols, _expand(rows, memo, cols))
-              for cols in combinations(range(m.n_cols), len(rows)))
-    return exp_scale, coeff_scale, minors
-
-
-def _full_row_rank(m: FieldMatrix) -> bool:
-    """Some maximal minor is nonzero; stops at the first one."""
-    return any(minor for _, minor in _maximal_minors(m)[2])
+    Returns (N, L, minors): N as _scaled returns it, L the product of the
+    row scales, and minors yields (cols, minor) for each n_rows-subset of
+    columns in combinations order, where minor is an {int exponent: int
+    coefficient} dict, without zero coefficients, equal to L times the true
+    minor with its exponents times N.  Proper subminors (the bottom rows on
+    some columns) are computed once.  The size cap is checked before
+    anything is scaled."""
+    _check_cap(m.n_rows, m.n_cols)
+    exp_scale, rows, scales = _scaled(m.rows)
+    return exp_scale, prod(scales), _minors(rows, m.n_cols)
 
 
 def det(m: FieldMatrix) -> PuiseuxElement:
@@ -266,11 +311,13 @@ def det(m: FieldMatrix) -> PuiseuxElement:
 
 
 def rank_via_minors(m: FieldMatrix) -> int:
-    """Size of the largest nonzero minor."""
-    _check_cap(m)
+    """Size of the largest nonzero minor: m is scaled once, and each row
+    subset is expanded with its own memo."""
+    _check_cap(m.n_rows, m.n_cols)
+    _, rows, _ = _scaled(m.rows)
     for k in range(min(m.n_rows, m.n_cols), 0, -1):
-        for rows in combinations(m.rows, k):
-            if _full_row_rank(FieldMatrix(rows)):
+        for sub in combinations(rows, k):
+            if _full_row_rank(sub, m.n_cols):
                 return k
     return 0
 
@@ -294,13 +341,31 @@ def pluecker_valuations(m: FieldMatrix):
 
 def classical_containment(a: FieldMatrix, u: FieldMatrix, v: FieldMatrix) -> bool:
     """Is A * rowspan(U) contained in rowspan(V)?  U and V must have full
-    row rank; A*u is in rowspan(V) iff [V; A*u] lacks full row rank."""
+    row rank; A*u is in rowspan(V) iff [A*u; V] lacks full row rank.
+
+    A, U and V are scaled once, with one exponent scale (A as one row, so
+    that every entry of A*u has one coefficient scale).  Each image row goes
+    on top of V's scaled rows and the minors are expanded along it with one
+    memo: its keys of at most s = V.n_rows columns name V's bottom rows
+    whether the image is there or not, so V's subminors are computed once
+    per call and each (s+1)-minor costs s+1 products.  The checks run in
+    this order: the cap of U, U's rank, the cap of V, V's rank, the cap of
+    the stacked (s+1) x n shape."""
     if a.n_cols != u.n_cols:
         raise ShapeError("A has %d columns, U vectors have length %d"
                          % (a.n_cols, u.n_cols))
     if a.n_rows != v.n_cols:
         raise ShapeError("A maps into length %d, V vectors have length %d"
                          % (a.n_rows, v.n_cols))
-    if not _full_row_rank(u) or not _full_row_rank(v):
+    _check_cap(u.n_rows, u.n_cols)
+    _, (flat, *rows), _ = _scaled([_flat(a), *u.rows, *v.rows])
+    u_rows, v_rows = rows[: u.n_rows], rows[u.n_rows :]
+    if not _full_row_rank(u_rows, u.n_cols):
         raise UsageError("U and V must have full row rank")
-    return not any(_full_row_rank(v.stack_row(a.matvec(row))) for row in u.rows)
+    _check_cap(v.n_rows, v.n_cols)
+    memo = {(): {0: 1}}
+    if not _full_row_rank(v_rows, v.n_cols, memo):
+        raise UsageError("U and V must have full row rank")
+    _check_cap(v.n_rows + 1, v.n_cols)
+    return not any(_full_row_rank([_image(flat, a.n_cols, row)] + v_rows, v.n_cols, memo)
+                   for row in u_rows)

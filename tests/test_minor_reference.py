@@ -25,6 +25,7 @@ from tropquiver import (
     rank_via_minors,
 )
 from tropquiver.errors import CapacityError, NotARealizationError, ShapeError, UsageError
+from tropquiver import puiseux
 from tropquiver.puiseux import ONE, ZERO, valuation
 
 from helpers import rand_puiseux
@@ -230,25 +231,27 @@ def reference_matvec(a, v):
 DENOMINATORS = [1, 2, 3, 5, 4, 9]
 
 
-def rational_puiseux(rng, coeff_den, zero_prob=0.25):
+def rational_puiseux(rng, coeff_den, zero_prob=0.25, exp_dens=(1, 2, 3, 5)):
     """Zero, or one or two terms with exponents such as -2/5, 1/2 or 4/3
-    and coefficients over coeff_den."""
+    (denominators from exp_dens) and coefficients over coeff_den."""
     if rng.random() < zero_prob:
         return ZERO
     return PuiseuxElement(
-        {Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5])):
+        {Fraction(rng.randint(-6, 6), rng.choice(exp_dens)):
          Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), coeff_den)
          for _ in range(rng.randint(1, 2))}
     )
 
 
-def rational_matrix(rng, d, n):
-    """Exponents with mixed denominators, negative ones included; each row
-    draws its coefficient denominators from its own pair."""
+def rational_matrix(rng, d, n, exp_dens=(1, 2, 3, 5)):
+    """Exponents with mixed denominators (from exp_dens), negative ones
+    included; each row draws its coefficient denominators from its own
+    pair."""
     rows = []
     for _ in range(d):
         dens = rng.sample(DENOMINATORS, 2)
-        rows.append([rational_puiseux(rng, rng.choice(dens)) for _ in range(n)])
+        rows.append([rational_puiseux(rng, rng.choice(dens), exp_dens=exp_dens)
+                     for _ in range(n)])
     return FieldMatrix(rows)
 
 
@@ -292,3 +295,97 @@ def test_huge_exponent_and_zero_matrix_match_reference():
             assert det(zero) == reference_det(zero) == ZERO
         assert rank_via_minors(zero) == reference_rank(zero) == 0
         assert outcome(pluecker_valuations, zero) == ("raise", NotARealizationError)
+
+
+def test_rational_containment_matches_reference():
+    """A, U and V each draw exponents over their own denominators, so only
+    the exponent scale shared by all three makes them integers."""
+    rng = random.Random(20240605)
+    verdicts = []
+    for k in range(120):
+        n_u, n_v = rng.randint(1, 5), rng.randint(1, 6)
+        d, s = rng.randint(1, min(3, n_u)), rng.randint(1, min(5, n_v))
+        a = rational_matrix(rng, n_v, n_u, exp_dens=(1, 2))
+        u = rational_matrix(rng, d, n_u, exp_dens=(1, 3))
+        v = rational_matrix(rng, s, n_v, exp_dens=(1, 5))
+        if k % 2:
+            # plant the image of U inside V, so that containment can hold
+            images = [a.matvec(row) for row in u.rows]
+            rows = [combine(rng, images) for _ in range(min(d, s))]
+            v = FieldMatrix(rows + [list(r) for r in v.rows[len(rows):]])
+        got = outcome(classical_containment, a, u, v)
+        assert got == outcome(reference_containment, a, u, v), (a, u, v)
+        verdicts.append(got[1])
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def test_later_row_rejects_after_contained_first_row():
+    """U's first row is mapped into rowspan(V), its second is not: the memo
+    filled on the first image is reused, then the second rejects."""
+    t, c = PuiseuxElement.t_power, PuiseuxElement.monomial
+    a = FieldMatrix.identity(3)
+    v = FieldMatrix([[ONE, c(Fraction(1, 2), Fraction(1, 3)), ZERO],
+                     [ZERO, ONE, c(-2, Fraction(3, 4))]])
+    first = [c(2, 0), c(1, Fraction(1, 3)) + c(3, 0), c(-6, Fraction(3, 4))]  # 2·V1 + 3·V2
+    u = FieldMatrix([first, [t(1), ZERO, c(Fraction(1, 3), 0)]])
+    assert outcome(classical_containment, a, FieldMatrix([first]), v) == ("ok", True)
+    assert outcome(reference_containment, a, FieldMatrix([first]), v) == ("ok", True)
+    assert outcome(classical_containment, a, u, v) == ("ok", False)
+    assert outcome(reference_containment, a, u, v) == ("ok", False)
+
+
+def test_containment_exception_order_and_full_target():
+    one, t = PuiseuxElement.const(1), PuiseuxElement.t_power(1)
+    cases = [
+        # U rank-deficient while V is past the cap: U's rank is checked first
+        (FieldMatrix([[one, t]] * 9), FieldMatrix([[one, t], [t, t * t]]),
+         FieldMatrix([[one] * 9]), ("raise", UsageError)),
+        # V at the cap (6 x 8), [A·u; V] past it (7 x 8)
+        (FieldMatrix.identity(8), FieldMatrix([[ZERO] * 6 + [one, t]]),
+         FieldMatrix(FieldMatrix.identity(8).rows[:6]), ("raise", CapacityError)),
+        # s = n: no (s+1)-subset of columns, so every image is contained
+        (FieldMatrix([[one, t], [t, ZERO], [ZERO, one]]), FieldMatrix([[t, one]]),
+         FieldMatrix.identity(3), ("ok", True)),
+    ]
+    for a, u, v, expected in cases:
+        assert outcome(classical_containment, a, u, v) == expected, (a, u, v)
+        assert outcome(reference_containment, a, u, v) == expected, (a, u, v)
+
+
+def test_matvec_cancels_to_exact_zero():
+    t = PuiseuxElement.t_power(1)
+    got = FieldMatrix([[1, 1]]).matvec((t, -t))
+    assert got == (ZERO,) and got[0].is_zero and got[0].terms() == []
+    assert got == reference_matvec(FieldMatrix([[1, 1]]), (t, -t))
+
+
+def test_subminors_of_v_are_shared_by_every_image_row(monkeypatch):
+    """Structural, not timed: on one V (s = 4), a contained U with 1 row and
+    one with 3 rows make the same number of expansions on at most s columns
+    of V's rows.  Every image row has full support, so the first one
+    already asks for every subminor of V that any later one could need."""
+    rng = random.Random(20240606)
+
+    def positive():
+        return PuiseuxElement({rng.randint(0, 3): rng.randint(1, 4)})
+
+    a = FieldMatrix([[positive() for _ in range(4)] for _ in range(6)])
+    u = FieldMatrix([[positive() for _ in range(4)] for _ in range(3)])
+    v = FieldMatrix([a.matvec(row) for row in u.rows] + [[positive() for _ in range(6)]])
+    s = v.n_rows
+    assert rank_via_minors(u) == 3 and rank_via_minors(v) == s == 4
+    counts = []
+    expand = puiseux._expand
+    for rows_of_u in (u.rows[:1], u.rows):
+        calls = []
+
+        def counted(rows, memo, cols):
+            if len(rows) >= s and len(cols) <= s:  # V's rows, not U's
+                calls.append(cols)
+            return expand(rows, memo, cols)
+
+        monkeypatch.setattr(puiseux, "_expand", counted)
+        assert classical_containment(a, FieldMatrix(rows_of_u), v)
+        monkeypatch.setattr(puiseux, "_expand", expand)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
