@@ -182,7 +182,7 @@ class FieldMatrix:
         v = tuple(_coerce(e) for e in v)
         if len(v) != self.n_cols:
             raise ShapeError("vector length mismatch")
-        exp_scale, (flat, vec), (a_scale, v_scale) = _scaled([_flat(self), v])
+        exp_scale, (flat, vec), (a_scale, v_scale) = _scaled([[x for row in self.rows for x in row], v])
         coeff_scale = a_scale * v_scale
         return tuple(
             PuiseuxElement({Fraction(e, exp_scale): Fraction(c, coeff_scale)
@@ -203,12 +203,6 @@ class FieldMatrix:
 def _check_cap(n_rows, n_cols):
     if min(n_rows, n_cols) > SIZE_CAP[0] or max(n_rows, n_cols) > SIZE_CAP[1]:
         raise CapacityError("matrix size cap is %dx%d" % SIZE_CAP)
-
-
-def _flat(m: FieldMatrix):
-    """The entries of m as one row, so that _scaled gives all of them one
-    coefficient scale."""
-    return [x for row in m.rows for x in row]
 
 
 def _scaled(rows):
@@ -235,9 +229,10 @@ def _scaled(rows):
 
 
 def _image(flat, n_cols, vec):
-    """A·u over scaled integers, for A's scaled entries in one row (flat,
-    n_cols per row of A) and u's scaled entries (vec): one {int: int} map
-    per row of A, without zero coefficients."""
+    """A·u over scaled integers: one {int: int} map per row of A, without
+    zero coefficients.  flat holds A's entries, n_cols per row of A, scaled
+    by _scaled as one row, so that every entry of A·u has one coefficient
+    scale; vec holds u's scaled entries."""
     out = []
     for i in range(0, len(flat), n_cols):
         acc = {}
@@ -343,8 +338,7 @@ def classical_containment(a: FieldMatrix, u: FieldMatrix, v: FieldMatrix) -> boo
     """Is A * rowspan(U) contained in rowspan(V)?  U and V must have full
     row rank; A*u is in rowspan(V) iff [A*u; V] lacks full row rank.
 
-    A, U and V are scaled once, with one exponent scale (A as one row, so
-    that every entry of A*u has one coefficient scale).  Each image row goes
+    A, U and V are scaled once, with one exponent scale.  Each image row goes
     on top of V's scaled rows and the minors are expanded along it with one
     memo: its keys of at most s = V.n_rows columns name V's bottom rows
     whether the image is there or not, so V's subminors are computed once
@@ -358,7 +352,7 @@ def classical_containment(a: FieldMatrix, u: FieldMatrix, v: FieldMatrix) -> boo
         raise ShapeError("A maps into length %d, V vectors have length %d"
                          % (a.n_rows, v.n_cols))
     _check_cap(u.n_rows, u.n_cols)
-    _, (flat, *rows), _ = _scaled([_flat(a), *u.rows, *v.rows])
+    _, (flat, *rows), _ = _scaled([[x for row in a.rows for x in row], *u.rows, *v.rows])
     u_rows, v_rows = rows[: u.n_rows], rows[u.n_rows :]
     if not _full_row_rank(u_rows, u.n_cols):
         raise UsageError("U and V must have full row rank")
