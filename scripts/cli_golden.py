@@ -20,7 +20,9 @@ checkout's src/ gives that version's digest.  Everything runs in process:
   tables on n = 8 (bench/generators.lowered), which are rejected;
 - field inputs with rational exponents and coefficients
   (tests/test_minor_reference.py, rational_matrix): a qgr-witness-check
-  that accepts, one rejected at its subrepresentation check, and realize.
+  that accepts, one rejected at its subrepresentation check, and realize;
+- every command that reads a matroid, accepted and rejected, on inputs
+  whose matroids have different denominators (mixed_scale_inputs).
 
 Each output enters the hash as the exact text the command wrote, with
 two edits: the value of elapsed_ms is masked and input paths are reduced
@@ -39,6 +41,7 @@ import random
 import re
 import sys
 import tempfile
+from fractions import Fraction
 from itertools import combinations
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -92,6 +95,76 @@ def exchange_inputs():
         ("check-matroid", [("hi8_lowered", gen.enc_matroid(8, 5, bad_hi))]),
         ("quotient", [("lo8_lowered", lo8), ("hi8", hi8)]),
         ("flag-check", [("flag8_lowered", [lo8, hi8])]),
+    ]
+
+
+def _scaled(values, shift):
+    """values divided by 6 and raised by shift."""
+    return {k: v / 6 + shift for k, v in values.items()}
+
+
+def mixed_scale_inputs():
+    """Each matroid command, accepted and rejected, on matroids of different
+    denominators: every value of the dense n = 8 tables of exchange_inputs
+    (ranks 3 and 5) and of SPARSE_12 divided by 6, mu's then raised by 1/2
+    and nu's by 1/5, so that mu's values have scale 6 and nu's 30.  The
+    tropical identity and the arrow's valuations (all 0), a point's
+    coordinates and a map's shifts are divided by 6 too, and the point is
+    raised by 1/2.  Dividing every input by one positive factor keeps each
+    verdict, and so does raising all of one matroid's values, or of a
+    point's coordinates, by one constant.  induce has no rejection: it runs
+    on a bijection and on a map that sends some elements to the origin."""
+    n, half, fifth = 8, Fraction(1, 2), Fraction(1, 5)
+    top = gen.nested_realizations(random.Random("cli_golden:lowered8"), n, (3, 5))
+    lo, hi = (gen.table(pluecker_valuations(m)) for m in top)
+    other = gen.table(gen.nested_matroids(random.Random("cli_golden:other8"), n, (3, 5))[1])
+    bad_lo, bad_hi = gen.lowered(lo, above=hi), gen.lowered(hi)
+    sparse = {tuple(b): Fraction(v) for b, v in SPARSE_12["values"]}
+    rng = random.Random("cli_golden:mixed_scale")
+    _, targets, shifts = gen.monomial_map(rng, n, zero_rows=False)
+    induced = gen.induced_by_bijection(hi, 5, n, targets, shifts)
+    _, wm_targets, wm_shifts = gen.monomial_map(rng, n, zero_rows=True)
+
+    def mu(name, values, r, size=n):
+        return name + "_mu", gen.enc_matroid(size, r, _scaled(values, half))
+
+    def nu(name, values, r, size=n):
+        return name + "_nu", gen.enc_matroid(size, r, _scaled(values, fifth))
+
+    def point(name, coords):
+        return name, [gen.enc_value(x / 6 + half) for x in coords]
+
+    def ground_map(name, targets, shifts):
+        return name, gen.enc_map(targets, [None if s is None else s / 6 for s in shifts])
+
+    coords = [min(x for x, _ in e.terms()) for e in top[1].rows[0]]
+    far = list(coords)
+    far[next(k for k in range(n) if any(k + 1 not in b for b in hi))] -= gen.DROP  # not a coloop
+    identity = ("identity8", gen.enc_trop_identity(n))
+    chain = ("chain8", gen.enc_quiver(n, ["v1", "v2"], [("v1", "v2", FieldMatrix.identity(n))],
+                                      {"v1": 3, "v2": 5}))
+    bijection = ground_map("bij8", targets, shifts)
+    return [
+        ("check-matroid", [nu("sparse12", sparse, 6, 12)]),
+        ("check-matroid", [nu("hi8_lowered", bad_hi, 5)]),
+        ("quotient", [mu("sparse12", sparse, 6, 12), nu("sparse12", sparse, 6, 12)]),
+        ("quotient", [mu("lo8", lo, 3), nu("hi8", hi, 5)]),
+        ("quotient", [mu("lo8_lowered", bad_lo, 3), nu("hi8", hi, 5)]),
+        ("flag-check", [("flag8_mixed", [mu("lo8", lo, 3)[1], nu("hi8", hi, 5)[1]])]),
+        ("flag-check", [("flag8_mixed_lowered", [mu("lo8", bad_lo, 3)[1], nu("hi8", hi, 5)[1]])]),
+        ("tls-member", [nu("hi8", hi, 5), point("point8", coords)]),
+        ("tls-member", [nu("hi8", hi, 5), point("point8_far", far)]),
+        ("containment-check", [identity, mu("lo8", lo, 3), nu("hi8", hi, 5)]),
+        ("containment-check", [identity, mu("hi8", hi, 5), nu("lo8", lo, 3)]),
+        ("qdr-check --cross-check", [chain, ("chain8_tuple", {"v1": mu("lo8", lo, 3)[1],
+                                                              "v2": nu("hi8", hi, 5)[1]})]),
+        ("qdr-check --cross-check", [chain, ("chain8_tuple_other", {"v1": mu("lo8", lo, 3)[1],
+                                                                    "v2": nu("other8", other, 5)[1]})]),
+        ("induce", [nu("hi8", hi, 5), bijection]),
+        ("induce", [nu("hi8", hi, 5), ground_map("wm8", wm_targets, wm_shifts)]),
+        ("morphism-check", [bijection, mu("induced8", induced, 5), nu("hi8", hi, 5)]),
+        ("morphism-check", [bijection, mu("induced8_lowered", gen.lowered(induced), 5),
+                            nu("hi8", hi, 5)]),
     ]
 
 
@@ -174,8 +247,8 @@ def records(seeds):
         inputs = [("check-matroid", [("malformed", '{"n": 3, "r": ')]),
                   ("check-matroid", [("missing", None)])] + OVER_CAP
         inputs += [(command, files) for command, files, _ in EXIT_2]
-        for command, files in inputs + exchange_inputs() + rational_inputs():
-            argv = [command]
+        for command, files in inputs + exchange_inputs() + rational_inputs() + mixed_scale_inputs():
+            argv = command.split()
             for name, data in files:
                 argv.append(os.path.join(directory, name + ".json"))
                 if data is not None:
