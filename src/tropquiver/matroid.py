@@ -2,33 +2,34 @@
 tropical-linear-space membership and containment, quotients, and deletion
 and restriction minors (restriction in one pass over the bases).
 
-Ground sets are {1, ..., n}; basis-value tables are stored sparsely
-(absent subsets are infinite) and kept exactly as given, since affine
-constructions care about the actual values; comparisons that are only
-meaningful projectively normalize on the fly.  The exchange axiom is
-*not* enforced at construction: wrap a candidate table and interrogate it
-with :func:`is_valuated_matroid`.  One walk decides membership, the
-exchange axiom and quotients: is the minimum of val(A_ij) + c_j + C_i,
-over a cocircuit-side c and a circuit-side C, attained twice, counting
-every term (relations, and under the identity the exchange axiom and
-quotients) or each target index i once (containment_check, whose circuit
-half is tls_membership, and circuits, cocircuits)?  The exchange loop over
-pairs of finite bases names the certificate of a rejection and decides
-sparse tables, whose pairs of bases are fewer than their relations.  Both
-kernels compare lcm-scaled ints over bitmasks, which is still exact.
-Every walk over subsets, or pairs of subsets or bases, is counted before
-it starts, against WALK_CAP.
+Ground sets are {1, ..., n}.  From construction on, a matroid holds its
+finite basis values exactly (absent subsets are infinite; affine
+constructions care about the actual values) as _at, {bitmask: int}, the
+values times _scale, the lcm of their denominators: the form every kernel
+walks.  Comparisons that are only meaningful projectively normalize on the
+fly.  The exchange axiom is *not* enforced at construction: wrap a
+candidate table and interrogate it with :func:`is_valuated_matroid`.  One
+walk decides membership, the exchange axiom and quotients: is the minimum
+of val(A_ij) + c_j + C_i, over a cocircuit-side c and a circuit-side C,
+attained twice, counting every term (relations, and under the identity the
+exchange axiom and quotients) or each target index i once
+(containment_check, whose circuit half is tls_membership, and circuits,
+cocircuits)?  The exchange loop over pairs of finite bases names the
+certificate of a rejection and decides sparse tables, whose pairs of bases
+are fewer than their relations.  Every walk over subsets, or pairs of
+subsets or bases, is counted before it starts, against WALK_CAP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb, lcm
 
 from .errors import CapacityError, NotAMatroidError, ShapeError, UsageError
-from .trop import INF, TropMatrix, TropValue, TropVector, trop_sum
+from .trop import INF, TropMatrix, TropValue, TropVector
 
 
 # most subsets, or pairs of subsets, one call walks; about four times the
@@ -61,10 +62,11 @@ def _subset(iterable):
 class ValuatedMatroid:
     """A rank-r valuated matroid candidate on {1, ..., n}."""
 
-    __slots__ = ("n", "r", "_finite")
+    __slots__ = ("n", "r", "_scale", "_at")
     n: int
     r: int
-    _finite: dict
+    _scale: int
+    _at: dict
 
     def __init__(self, n, r, values):
         if n < 1 or r < 0 or r > n:
@@ -76,34 +78,38 @@ class ValuatedMatroid:
                 raise UsageError("subset %r does not have size %d" % (subset, r))
             if subset and (subset[0] < 1 or subset[-1] > n):
                 raise UsageError("subset %r not inside [1..%d]" % (subset, n))
-            value = value if isinstance(value, TropValue) else TropValue(value)
-            if value.is_finite:
-                finite[subset] = value
+            value = value if isinstance(value, (int, Fraction)) else TropValue(value).value
+            if value is not None:
+                finite[_mask(subset)] = value
         if not finite:
             raise NotAMatroidError("no subset has a finite value")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "_finite", finite)
+        scale = reduce(lcm, (x.denominator for x in finite.values()), 1)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_at", {b: x.numerator * (scale // x.denominator)
+                                         for b, x in finite.items()})
 
     def value(self, subset) -> TropValue:
-        return self._finite.get(_subset(subset), INF)
+        subset = _subset(subset)
+        x = self._at.get(_mask(subset)) if all(1 <= e <= self.n for e in subset) else None
+        return INF if x is None else TropValue(Fraction(x, self._scale))
 
     def bases(self):
         """Finite-support subsets, i.e. the bases of the underlying matroid."""
-        return sorted(self._finite)
+        return sorted(_members(b, self.n) for b in self._at)
 
     def table(self):
         """Finite values as a subset -> TropValue dict."""
-        return dict(self._finite)
+        return {_members(b, self.n): TropValue(Fraction(x, self._scale))
+                for b, x in self._at.items()}
 
     def subsets(self):
         return combinations(range(1, self.n + 1), self.r)
 
     def __repr__(self):
-        vals = ", ".join(
-            "%s:%r" % ("".join(map(str, b)) or "{}", v)
-            for b, v in sorted(self._finite.items())
-        )
+        vals = ", ".join("%s:%r" % ("".join(map(str, b)) or "{}", v)
+                         for b, v in sorted(self.table().items()))
         return "ValuatedMatroid(n=%d, r=%d, {%s})" % (self.n, self.r, vals)
 
 
@@ -159,13 +165,13 @@ def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
     both walks, so at equal counts the relation walk gains on an accept
     about what it loses on a rejection.
     """
-    base_pairs = len(mu._finite) * len(nu._finite)
+    base_pairs = len(mu._at) * len(nu._at)
     check_walk("exchange check", base_pairs, "pairs of bases")
     by_relations = subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1) < base_pairs
     if by_relations and _unique_minimum(TropMatrix.identity(mu.n), mu, nu, grouped=False) is None:
         return None
     _, (mu_at, nu_at) = _int_tables((mu, nu))
-    left, right = ([(b, _mask(b), at[_mask(b)]) for b in sorted(m._finite)]
+    left, right = (sorted((_members(b, m.n), b, x) for b, x in at.items())
                    for m, at in ((mu, mu_at), (nu, nu_at)))
     for i_set, i_mask, x in left:
         for j_set, j_mask, y in right:
@@ -196,17 +202,17 @@ def _mask(subset):
     return sum(1 << e for e in subset)
 
 
-def _scaled(x, scale):
-    return x.numerator * (scale // x.denominator)
+def _members(mask, n):
+    return tuple(e for e in range(1, n + 1) if mask >> e & 1)
 
 
 def _int_tables(matroids, extra=()):
-    """The lcm of the denominators of the matroids' values and of the
-    extra Fractions, and each matroid's finite table as {bitmask: int}
-    scaled by it."""
-    scale = lcm(*(x.denominator for x in extra),
-                *(v.value.denominator for m in matroids for v in m._finite.values()))
-    return scale, [{_mask(b): _scaled(v.value, scale) for b, v in m._finite.items()}
+    """The lcm of the matroids' scales and of the denominators of the extra
+    Fractions, and each matroid's finite table as {bitmask: int} scaled by
+    it: the matroid's own table, not a copy, where the scales agree."""
+    scale = reduce(lcm, [m._scale for m in matroids] + [x.denominator for x in extra], 1)
+    return scale, [m._at if m._scale == scale else
+                   {b: x * (scale // m._scale) for b, x in m._at.items()}
                    for m in matroids]
 
 
@@ -258,7 +264,7 @@ def _unique_minimum(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid, gro
     scale, (mu_at, nu_at) = _int_tables((mu, nu), [x for _, _, x in entries])
     columns = {}
     for i, j, x in entries:
-        columns.setdefault(j, []).append((i, _scaled(x, scale)))
+        columns.setdefault(j, []).append((i, x.numerator * (scale // x.denominator)))
     targets = _subset_vectors(nu.n, nu.r + 1, nu_at, members=True, grouped=grouped)
     for i_set, c in _subset_vectors(mu.n, mu.r - 1, mu_at, members=False, grouped=grouped):
         best = {}  # i -> [min over j of A_ij + c_j, how many j attain it]
@@ -317,9 +323,8 @@ def _trop_vector(n, vec, scale):
 
 def _vectors(m: ValuatedMatroid, size, what, members):
     check_walk(what, subset_count(m.n, size))
-    scale, (at,) = _int_tables((m,))
-    return [_trop_vector(m.n, vec, scale)
-            for _, vec in _subset_vectors(m.n, size, at, members, grouped=True)]
+    return [_trop_vector(m.n, vec, m._scale)
+            for _, vec in _subset_vectors(m.n, size, m._at, members, grouped=True)]
 
 
 def circuits(m: ValuatedMatroid):
@@ -392,10 +397,10 @@ def restrict_table(m: ValuatedMatroid, keep):
     """
     keep = set(keep)
     deleted = [e for e in range(1, m.n + 1) if e not in keep]
-    vectors = {b: tuple(e in b for e in deleted) for b in m._finite}
-    least = min(vectors.values())
+    vectors = {b: (tuple(e in b for e in deleted), v) for b, v in m.table().items()}
+    least = min(vec for vec, _ in vectors.values())
     return m.r - sum(least), {tuple(x for x in b if x in keep): v
-                              for b, v in m._finite.items() if vectors[b] == least}
+                              for b, (vec, v) in vectors.items() if vec == least}
 
 
 def delete(m: ValuatedMatroid, e) -> ValuatedMatroid:
@@ -414,16 +419,10 @@ def delete(m: ValuatedMatroid, e) -> ValuatedMatroid:
     )
 
 
-def _normalized_table(m: ValuatedMatroid):
-    shift = trop_sum(m._finite.values())
-    return {b: v - shift for b, v in m._finite.items()}
-
-
 def tls_equal(mu: ValuatedMatroid, nu: ValuatedMatroid) -> bool:
     """Tropical-linear-space equality: equal ranks and projectively equal
-    basis-value tables."""
+    basis-value tables: the int tables differ by one constant."""
     if mu.n != nu.n:
         raise ShapeError("ground sets differ")
-    return (
-        mu.r == nu.r and _normalized_table(mu) == _normalized_table(nu)
-    )
+    _, (a, b) = _int_tables((mu, nu))
+    return mu.r == nu.r and a.keys() == b.keys() and len({x - b[k] for k, x in a.items()}) == 1

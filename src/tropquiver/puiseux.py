@@ -325,7 +325,7 @@ def pluecker_valuations(m: FieldMatrix):
         raise NotARealizationError("more rows than columns")
     exp_scale, _, minors = _maximal_minors(m)
     values = {
-        tuple(c + 1 for c in cols): TropValue(Fraction(min(minor), exp_scale))
+        tuple(c + 1 for c in cols): Fraction(min(minor), exp_scale)
         for cols, minor in minors
         if minor
     }

@@ -120,9 +120,9 @@ def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
     never violates), in sorted order, which is the order of combinations;
     the pairs are counted against WALK_CAP first.
     """
-    check_walk("exchange check", len(mu._finite) * len(nu._finite), "pairs of bases")
+    check_walk("exchange check", len(mu.bases()) * len(nu.bases()), "pairs of bases")
     _, (mu_at, nu_at) = _int_tables((mu, nu))
-    left, right = ([(b, _mask(b), at[_mask(b)]) for b in sorted(m._finite)]
+    left, right = ([(b, _mask(b), at[_mask(b)]) for b in sorted(m.bases())]
                    for m, at in ((mu, mu_at), (nu, nu_at)))
     for i_set, i_mask, x in left:
         for j_set, j_mask, y in right:
