@@ -172,12 +172,6 @@ class FieldMatrix:
     def entry(self, i, j):
         return self.rows[i][j]
 
-    def stack_row(self, row) -> "FieldMatrix":
-        row = tuple(_coerce(e) for e in row)
-        if len(row) != self.n_cols:
-            raise ShapeError("row length mismatch")
-        return FieldMatrix(self.rows + (row,))
-
     def matvec(self, v):
         v = tuple(_coerce(e) for e in v)
         if len(v) != self.n_cols:

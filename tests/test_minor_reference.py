@@ -104,7 +104,7 @@ def reference_containment(a, u, v):
         raise UsageError("U and V must have full row rank")
     for row in u.rows:
         image = a.matvec(row)
-        if reference_rank(v.stack_row(image)) != v.n_rows:
+        if reference_rank(FieldMatrix(v.rows + (tuple(image),))) != v.n_rows:
             return False
     return True
 
