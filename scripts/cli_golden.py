@@ -22,7 +22,9 @@ checkout's src/ gives that version's digest.  Everything runs in process:
   (tests/test_minor_reference.py, rational_matrix): a qgr-witness-check
   that accepts, one rejected at its subrepresentation check, and realize;
 - every command that reads a matroid, accepted and rejected, on inputs
-  whose matroids have different denominators (mixed_scale_inputs).
+  whose matroids have different denominators (mixed_scale_inputs);
+- qdr-check with and without --cross-check on quivers with a loop, accepted
+  and rejected, and relations on one of them (loop_inputs).
 
 Each output enters the hash as the exact text the command wrote, with
 two edits: the value of elapsed_ms is masked and input paths are reduced
@@ -168,6 +170,68 @@ def mixed_scale_inputs():
     ]
 
 
+def _field(rows):
+    """A field matrix in JSON from rows of {exponent: coefficient} dicts."""
+    return [[[{"c": c, "e": e} for e, c in entry.items()] for entry in row] for row in rows]
+
+
+def _point(*coords):
+    """The rank-1 matroid of a point in JSON, None an infinite coordinate."""
+    return gen.enc_matroid(len(coords), 1, {(i,): x for i, x in enumerate(coords, 1)})
+
+
+# A = diag(1, 1 + t) at n = 2 (README, tests/test_quiver.py,
+# TestNonrealizablePoint): its merged relation t p_1 p_2 rejects every point
+# with both coordinates finite
+DIAG_LOOP = {"n": 2, "vertices": ["v"], "dim": {"v": 1}, "arrows": [
+    {"src": "v", "dst": "v", "matrix_field": _field([[{"0": "1"}, {}],
+                                                     [{}, {"0": "1", "1": "1"}]])}]}
+# the tropical identity loop (tests/test_quiver.py, TestContainment,
+# test_loop_separates_the_routes_the_other_way): both diagonal entries give
+# p_1 p_2, merged by minimum
+TROP_LOOP = {"n": 2, "vertices": ["v"], "dim": {"v": 1}, "arrows": [
+    {"src": "v", "dst": "v", "matrix_trop": _identity(2)}]}
+# a field loop at n = 3 with exponents over 2 and 3
+RATIONAL_A = _field([
+    [{"1/3": "1"}, {"1/3": "-3/2", "4/3": "-3/2"}, {"2/3": "1/2", "4/3": "1/2"}],
+    [{}, {"-1/2": "2", "0": "-3/2"}, {"-1/2": "-1"}],
+    [{}, {"0": "1/2", "2/3": "-1"}, {"0": "2", "2/3": "1"}],
+])
+RATIONAL_LOOP = {"n": 3, "vertices": ["v"], "dim": {"v": 1}, "arrows": [
+    {"src": "v", "dst": "v", "matrix_field": RATIONAL_A}]}
+# the same loop at u behind a tropical identity arrow u -> w
+MIXED_LOOP = {"n": 3, "vertices": ["u", "w"], "dim": {"u": 1, "w": 2}, "arrows": [
+    {"src": "u", "dst": "w", "matrix_trop": _identity(3)},
+    {"src": "u", "dst": "u", "matrix_field": RATIONAL_A}]}
+W_FIFTHS = gen.enc_matroid(3, 2, {(1, 2): Fraction(1, 5), (1, 3): Fraction(1, 5),
+                                  (2, 3): Fraction(3, 5)})
+
+
+def loop_inputs():
+    """qdr-check with and without --cross-check on quivers with a loop: the
+    loop diag(1, 1 + t) at (0, 0), rejected by its merged relation, and at
+    (0, inf), accepted; the tropical identity loop at (0, 0), rejected by
+    the relation route and accepted by containment; the rational loop at a
+    point over 5ths that the relation route accepts (containment rejects)
+    and at one that both reject; and that loop behind a loop-free arrow,
+    which both points pass, so that the loop decides.  relations on the
+    rational loop."""
+    fifths = [Fraction(k, 5) for k in (2, 4, 4, 6)]
+    accepted, rejected = _point(*fifths[:3]), _point(*fifths[:2], fifths[3])
+    pairs = [
+        (("diag_loop", DIAG_LOOP), ("diag_loop_00", {"v": _point(0, 0)})),
+        (("diag_loop", DIAG_LOOP), ("diag_loop_0inf", {"v": _point(0, None)})),
+        (("trop_loop", TROP_LOOP), ("trop_loop_00", {"v": _point(0, 0)})),
+        (("rational_loop", RATIONAL_LOOP), ("rational_loop_in", {"v": accepted})),
+        (("rational_loop", RATIONAL_LOOP), ("rational_loop_out", {"v": rejected})),
+        (("mixed_loop", MIXED_LOOP), ("mixed_loop_in", {"u": accepted, "w": W_FIFTHS})),
+        (("mixed_loop", MIXED_LOOP), ("mixed_loop_out", {"u": rejected, "w": W_FIFTHS})),
+    ]
+    return ([(command, list(files)) for files in pairs
+             for command in ("qdr-check", "qdr-check --cross-check")]
+            + [("relations", [("rational_loop", RATIONAL_LOOP)])])
+
+
 def rational_inputs():
     """qgr-witness-check on an n = 5 arrow u -> w with rational entries,
     ranks (2, 3): V stacks A·U on one more row, and its broken copy has a
@@ -247,7 +311,8 @@ def records(seeds):
         inputs = [("check-matroid", [("malformed", '{"n": 3, "r": ')]),
                   ("check-matroid", [("missing", None)])] + OVER_CAP
         inputs += [(command, files) for command, files, _ in EXIT_2]
-        for command, files in inputs + exchange_inputs() + rational_inputs() + mixed_scale_inputs():
+        for command, files in (inputs + exchange_inputs() + rational_inputs() + mixed_scale_inputs()
+                               + loop_inputs()):
             argv = command.split()
             for name, data in files:
                 argv.append(os.path.join(directory, name + ".json"))
