@@ -206,6 +206,11 @@ def _members(mask, n):
     return tuple(e for e in range(1, n + 1) if mask >> e & 1)
 
 
+def _fractions(m: ValuatedMatroid):
+    """m's finite values as a subset -> Fraction dict, in stored order."""
+    return {_members(b, m.n): Fraction(x, m._scale) for b, x in m._at.items()}
+
+
 def _int_tables(matroids, extra=()):
     """The lcm of the matroids' scales and of the denominators of the extra
     Fractions, and each matroid's finite table as {bitmask: int} scaled by
@@ -355,7 +360,7 @@ def tls_membership(m: ValuatedMatroid, x: TropVector):
     check_walk("circuit enumeration", subset_count(m.n, m.r + 1))
     if x.is_all_inf:
         return True, None  # every term is infinite
-    point = ValuatedMatroid(m.n, 1, {(i,): e for i, e in enumerate(x, 1)})
+    point = ValuatedMatroid(m.n, 1, {(i,): e.value for i, e in enumerate(x, 1) if e.is_finite})
     ok, cert = containment_check(TropMatrix.identity(m.n), point, m)
     return ok, None if ok else cert[1]
 
@@ -381,11 +386,11 @@ def quotient_check(mu: ValuatedMatroid, nu: ValuatedMatroid):
 def add_loop(m: ValuatedMatroid) -> ValuatedMatroid:
     """Extend the ground set by a loop at position n+1: same rank, bases
     through the new element valued infinity."""
-    return ValuatedMatroid(m.n + 1, m.r, m.table())
+    return ValuatedMatroid(m.n + 1, m.r, _fractions(m))
 
 
 def restrict_table(m: ValuatedMatroid, keep):
-    """Restriction of m to a label subset, as (rank, table) with the table
+    """Restriction of m to a label subset, as (rank, {subset: Fraction}),
     keys in the original labels; used by the affine-induced construction.
 
     Deleting the elements outside keep in increasing order keeps, at each,
@@ -397,7 +402,7 @@ def restrict_table(m: ValuatedMatroid, keep):
     """
     keep = set(keep)
     deleted = [e for e in range(1, m.n + 1) if e not in keep]
-    vectors = {b: (tuple(e in b for e in deleted), v) for b, v in m.table().items()}
+    vectors = {b: (tuple(e in b for e in deleted), v) for b, v in _fractions(m).items()}
     least = min(vec for vec, _ in vectors.values())
     return m.r - sum(least), {tuple(x for x in b if x in keep): v
                               for b, (vec, v) in vectors.items() if vec == least}

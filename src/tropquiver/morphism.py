@@ -108,14 +108,9 @@ def affine_induced_unpointed(nu: ValuatedMatroid, f: GroundSetMap) -> ValuatedMa
         targets = [f.f1[i] for i in basis]
         if O in targets or len(set(targets)) != len(targets):
             continue
-        base_val = table.get(tuple(sorted(targets)), INF)
-        if base_val.is_inf:
-            continue
-        total = base_val
-        for i in basis:
-            total = total + f.f2[i]
-        if total.is_finite:
-            values[basis] = total
+        base_val = table.get(tuple(sorted(targets)))
+        if base_val is not None:  # every shift of an element not sent to o is finite
+            values[basis] = sum((f.f2[i].value for i in basis), base_val)
     return ValuatedMatroid(f.n, rank, values)
 
 

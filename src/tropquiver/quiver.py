@@ -19,8 +19,8 @@ Both membership routes evaluate an arrow by the terms
 val(A_ij) + mu(I+j) + nu(J-i) in matroid's one integer walk: relations
 count every term, containment (matroid.containment_check, imported here)
 each target index i once.  Between two distinct vertices no two terms
-merge, since the monomial p_{I+j} q_{J-i} fixes both j and i; only loops,
-whose terms can share a monomial, go through the relation generator.
+merge, since the monomial p_{I+j} q_{J-i} fixes both j and i; loops,
+whose terms can share a monomial, are valued on the merged int relations.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import Optional
 from .errors import ShapeError, UsageError
 from .matroid import (
     WALK_CAP as RELATION_CAP,  # the cap all_relations counts against
+    _fractions,
     _unique_minimum,
     check_walk,
     containment_check,
@@ -50,7 +51,7 @@ from .puiseux import (
     pluecker_valuations,
     valuation,
 )
-from .trop import TropMatrix, TropPolynomial, TropValue, trop_poly_vanishes
+from .trop import TropMatrix, TropPolynomial, TropValue
 
 
 @dataclass(frozen=True)
@@ -369,14 +370,6 @@ def _validate_tuple(rep: QuiverRepresentation, mus):
                              % (v, m.r, rep.dim[v]))
 
 
-def _assignment(mus, poly: TropPolynomial):
-    assign = {}
-    for _, mono in poly.terms:
-        for vertex, subset in mono:
-            assign[(vertex, subset)] = mus[vertex].value(subset)
-    return assign
-
-
 def _matroid_failure(rep: QuiverRepresentation, mus):
     """Check the tuple's shape, then the exchange axiom at every vertex:
     the first ("matroid", vertex, witness) certificate, or None.  Both
@@ -393,8 +386,7 @@ def _relation_failure(rep: QuiverRepresentation, mus):
     """The relation route's arrow stage: the first ("relation", arrow, I, J)
     whose tropical quiver Pluecker relation has a unique finite minimum, or
     None.  Arrows between distinct vertices go through the integer walk,
-    counting every term; loops build their merged relations with the
-    generator."""
+    counting every term; loops through the generator's merged int terms."""
     check_walk("membership by relations", _arrow_pairs(rep), "(I, J) pairs")
     for a_idx, arrow in enumerate(rep.arrows):
         if arrow.src != arrow.dst:
@@ -403,8 +395,15 @@ def _relation_failure(rep: QuiverRepresentation, mus):
             if hit is not None:
                 return "relation", a_idx, hit[0][0], hit[1][0]
             continue
-        for i_set, j_set, _, tropical in quiver_pluecker_relations(rep, a_idx):
-            if not trop_poly_vanishes(tropical, _assignment(mus, tropical)):
+        exp_scale = reduce(lcm, _exponent_denominators(arrow), 1)
+        relations, coeff_scale = _arrow_relations(rep, a_idx, exp_scale)
+        values = _fractions(mus[arrow.src])
+        for i_set, j_set, terms in relations:
+            finite = [Fraction(c if coeff_scale is None else c[0][0], exp_scale)
+                      + values[left] + values[right]
+                      for ((_, left), (_, right)), c in terms
+                      if left in values and right in values]
+            if finite and finite.count(min(finite)) == 1:
                 return "relation", a_idx, i_set, j_set
     return None
 
@@ -420,8 +419,8 @@ def qdr_membership(rep: QuiverRepresentation, mus):
     share a monomial, since p_{I+j} q_{J-i} fixes both j and i; nothing
     merges, and the relation is evaluated term by term,
     val(A_ij) + mu(I+j) + nu(J-i), without building it.  On a loop two
-    terms can be one monomial, so loops keep the merged relations of
-    quiver_pluecker_relations.  Returns (bool, certificate).
+    terms can be one monomial, so loops are evaluated the same way on the
+    generator's merged int terms.  Returns (bool, certificate).
     """
     cert = _matroid_failure(rep, mus) or _relation_failure(rep, mus)
     return cert is None, cert

@@ -18,6 +18,7 @@ from tropquiver import (
     QuiverRepresentation,
     RepArrow,
     TropMatrix,
+    TropPolynomial,
     TropValue,
     ValuatedMatroid,
     identity_chain_representation,
@@ -29,10 +30,18 @@ from tropquiver import (
 )
 from tropquiver.errors import NotARealizationError
 from tropquiver.puiseux import ZERO
-from tropquiver.quiver import _assignment, _validate_tuple
+from tropquiver.quiver import _validate_tuple
 from tropquiver.trop import trop_sum
 
 from helpers import rand_arrow, rand_realization, rand_trop_value
+
+
+def _assignment(mus, poly: TropPolynomial):
+    assign = {}
+    for _, mono in poly.terms:
+        for vertex, subset in mono:
+            assign[(vertex, subset)] = mus[vertex].value(subset)
+    return assign
 
 
 def reference_qdr_membership(rep, mus):
