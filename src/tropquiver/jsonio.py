@@ -110,8 +110,10 @@ def matroid_from_json(data) -> ValuatedMatroid:
     for item in values:
         if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], list):
             raise UsageError("matroid values must be [subset, value] pairs")
-        subset, v = item
-        table[tuple(_int(e, "a subset element") for e in subset)] = value_from_json(v)
+        subset = tuple(_int(e, "a subset element") for e in item[0])
+        if subset in table:
+            raise UsageError("subset %r is listed twice" % (list(subset),))
+        table[subset] = value_from_json(item[1])
     return ValuatedMatroid(_int(n, "n"), _int(r, "r"), table)
 
 
@@ -156,7 +158,10 @@ def map_from_json(data) -> GroundSetMap:
         i, to, shift = _fields(entry, ("i", "to", "shift"), "bad map entry %r", entry)
         if i == "o":
             continue  # the origin is implicit
-        assignments[_int(i, "map entry i")] = (
+        i = _int(i, "map entry i")
+        if i in assignments:
+            raise UsageError("map entry i = %d is listed twice" % i)
+        assignments[i] = (
             0 if to == "o" else _int(to, "map entry to"), value_from_json(shift)
         )
     return GroundSetMap(_int(n, "n"), assignments)

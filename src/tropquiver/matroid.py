@@ -71,16 +71,20 @@ class ValuatedMatroid:
     def __init__(self, n, r, values):
         if n < 1 or r < 0 or r > n:
             raise UsageError("need 0 <= r <= n and n >= 1, got r=%s n=%s" % (r, n))
-        finite = {}
-        for subset, value in dict(values).items():
+        finite, seen = {}, set()
+        for subset, value in values.items() if hasattr(values, "items") else values:
             subset = _subset(subset)
             if len(subset) != r:
                 raise UsageError("subset %r does not have size %d" % (subset, r))
             if subset and (subset[0] < 1 or subset[-1] > n):
                 raise UsageError("subset %r not inside [1..%d]" % (subset, n))
+            mask = _mask(subset)
+            if mask in seen:
+                raise UsageError("subset %r is given two values" % (subset,))
+            seen.add(mask)
             value = value if isinstance(value, (int, Fraction)) else TropValue(value).value
             if value is not None:
-                finite[_mask(subset)] = value
+                finite[mask] = value
         if not finite:
             raise NotAMatroidError("no subset has a finite value")
         object.__setattr__(self, "n", n)

@@ -552,6 +552,24 @@ class TestErrors:
         assert code == 2 and set(out) == {"command", "error"}
         assert message in out["error"]
 
+    # one subset or one map element given twice: not in EXIT_2, whose
+    # records scripts/cli_golden.py hashes
+    @pytest.mark.parametrize("command,files,message", [
+        ("check-matroid", [("m", dict(UNIFORM_32, values=[
+            [[1, 2], "0"], [[2, 1], "5"], [[1, 3], "0"], [[2, 3], "0"]]))],
+         "subset (1, 2) is given two values"),
+        ("check-matroid", [("m", dict(UNIFORM_32, values=[
+            [[1, 2], "0"], [[1, 2], "inf"], [[1, 3], "0"], [[2, 3], "0"]]))],
+         "subset [1, 2] is listed twice"),
+        ("induce", [("m", UNIFORM_32), ("f", {"n": 3, "f": [
+            {"i": i, "to": i, "shift": "0"} for i in (1, 2, 3)] + [
+            {"i": 1, "to": 3, "shift": "7"}]})],
+         "map entry i = 1 is listed twice"),
+    ], ids=["reordered-subset", "repeated-subset", "repeated-map-element"])
+    def test_repeated_subset_or_map_element(self, write, capsys, command, files, message):
+        code, out = run(capsys, command, *[write(name + ".json", data) for name, data in files])
+        assert code == 2 and out["error"] == message
+
     def test_non_list_map_entries(self, write, capsys):
         f = write("f.json", {"n": 3, "f": 5})
         code, out = run(capsys, "induce", write("m.json", UNIFORM_32), f)

@@ -15,7 +15,7 @@ from itertools import combinations
 import pytest
 
 from tropquiver import TropValue, ValuatedMatroid, add_loop, delete, tls_equal
-from tropquiver.errors import ShapeError
+from tropquiver.errors import ShapeError, UsageError
 from tropquiver.matroid import _int_tables, restrict_table
 from tropquiver.trop import trop_sum
 
@@ -179,3 +179,16 @@ def test_tls_equal_needs_one_ground_set():
     for f in (tls_equal, reference_tls_equal):
         with pytest.raises(ShapeError):
             f(a, b)
+
+
+@pytest.mark.parametrize("values", [
+    {(1, 2): 0, (2, 1): 5, (1, 3): 0, (2, 3): 0},
+    {(1, 2): 0, (2, 1): None, (1, 3): 0, (2, 3): 0},
+    {(2, 1): TropValue(None), (1, 2): TropValue(None), (1, 3): 0},
+    [((1, 2), 0), ((1, 2), F(1, 2)), ((1, 3), 0)],
+], ids=["two-finite", "finite-and-infinite", "two-infinite", "pairs"])
+def test_a_subset_with_two_values_is_rejected(values):
+    """Two keys naming one subset, in any order, are a usage error, whether
+    the values are finite or not."""
+    with pytest.raises(UsageError, match="given two values"):
+        ValuatedMatroid(3, 2, values)
