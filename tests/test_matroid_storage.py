@@ -2,7 +2,8 @@
 scaled by the lcm of their denominators.
 
 The conversions back (value, table, bases, repr) and == must not depend on
-the form the values came in.  ``reference_tls_equal`` is the previous
+the form the values came in.  Minors and induced matroids are built from
+the stored values, without ``table()``.  ``reference_tls_equal`` is the previous
 tls_equal, which normalized tables of TropValues, kept verbatim except that
 it reads ``table()`` where it read the removed ``_finite`` dict; the library
 compares int tables and must return the same verdicts.
@@ -14,8 +15,18 @@ from itertools import combinations
 
 import pytest
 
-from tropquiver import TropValue, ValuatedMatroid, add_loop, delete, tls_equal
-from tropquiver.errors import ShapeError, UsageError
+from tropquiver import (
+    GroundSetMap,
+    TropValue,
+    ValuatedMatroid,
+    add_loop,
+    affine_induced,
+    affine_induced_unpointed,
+    delete,
+    is_affine_morphism,
+    tls_equal,
+)
+from tropquiver.errors import ShapeError, TropquiverError, UsageError
 from tropquiver.matroid import _int_tables, restrict_table
 from tropquiver.trop import trop_sum
 
@@ -192,3 +203,53 @@ def test_a_subset_with_two_values_is_rejected(values):
     the values are finite or not."""
     with pytest.raises(UsageError, match="given two values"):
         ValuatedMatroid(3, 2, values)
+
+
+def rand_map(rng, n):
+    """A ground-set map with rational shifts; some elements go to o, and
+    some get an infinite shift, which GroundSetMap turns into o."""
+    assignments = {}
+    for i in range(1, n + 1):
+        target = rng.randint(0, n)
+        shift = (None if target == 0 or rng.random() < 0.1
+                 else F(rng.randint(-6, 6), rng.choice([1, 2, 3, 5])))
+        assignments[i] = (target, shift)
+    return GroundSetMap(n, assignments)
+
+
+def constructions(nu, mu, f, e, keep):
+    """What add_loop, delete, restrict_table, affine_induced,
+    affine_induced_unpointed and is_affine_morphism answer, a library
+    error standing for its answer."""
+    out = []
+    for call in (lambda: add_loop(nu), lambda: delete(nu, e), lambda: restrict_table(nu, keep),
+                 lambda: affine_induced(nu, f), lambda: affine_induced_unpointed(nu, f),
+                 lambda: is_affine_morphism(f, mu, nu)):
+        try:
+            out.append(call())
+        except TropquiverError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def test_constructions_read_no_table(monkeypatch):
+    rng = random.Random(20261020)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        r, s = rng.randint(0, n), rng.randint(0, n)
+        cases.append((ValuatedMatroid(n, r, rand_values(rng, n, r)),
+                      ValuatedMatroid(n, s, rand_values(rng, n, s)), rand_map(rng, n),
+                      rng.randint(1, n), set(rng.sample(range(1, n + 1), rng.randint(0, n)))))
+    expected = [constructions(*case) for case in cases]
+    assert all(type(v) is F for answers in expected for v in answers[2][1].values())
+    induced = sum(isinstance(answers[4], ValuatedMatroid) for answers in expected)
+    verdicts = {answers[5][0] for answers in expected}
+    assert induced > 100 and verdicts >= {True, False}, (induced, verdicts)
+
+    def no_table(self):
+        raise AssertionError("table() was called")
+
+    monkeypatch.setattr(ValuatedMatroid, "table", no_table)
+    for case, answers in zip(cases, expected):
+        assert constructions(*case) == answers

@@ -1,20 +1,24 @@
-"""The flat relation-term kernel of ``qdr_membership`` against the loop it
-replaced on arrows between two distinct vertices.
+"""The relation route of ``qdr_membership`` against the route it replaced:
+the flat term walk on arrows between two distinct vertices, and on loops
+the evaluation of the generator's merged int terms.
 
 ``reference_qdr_membership`` is the original relation route, kept
 verbatim: it builds every tropical quiver Pluecker relation with
-``quiver_pluecker_relations`` and evaluates it with ``trop_poly_vanishes``.
+``quiver_pluecker_relations`` and evaluates it with ``trop_poly_vanishes``
+under ``_assignment``, which moved here from ``tropquiver.quiver`` verbatim.
 The library must return the identical (bool, certificate) pair: the same
 verdict, and on a rejection the same first failing (arrow, I, J) in the
 generator's order.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from tropquiver import (
     FieldMatrix,
+    PuiseuxElement,
     QuiverRepresentation,
     RepArrow,
     TropMatrix,
@@ -24,16 +28,19 @@ from tropquiver import (
     identity_chain_representation,
     is_valuated_matroid,
     pluecker_valuations,
+    qdr_cross_check,
     qdr_membership,
     quiver_pluecker_relations,
     trop_poly_vanishes,
 )
 from tropquiver.errors import NotARealizationError
-from tropquiver.puiseux import ZERO
+from tropquiver.puiseux import ZERO, rank_via_minors
+from tropquiver import quiver
 from tropquiver.quiver import _validate_tuple
 from tropquiver.trop import trop_sum
 
-from helpers import rand_arrow, rand_realization, rand_trop_value
+from helpers import rand_arrow, rand_realization, rand_scaled_arrow, rand_trop_value
+from test_minor_reference import rational_matrix
 
 
 def _assignment(mus, poly: TropPolynomial):
@@ -179,3 +186,116 @@ def test_several_arrows_and_loops_match_reference():
         rep = QuiverRepresentation(n, vertices, arrows, dim)
         mus = {v: rand_matroid(rng, dim[v], n) for v in vertices}
         assert qdr_membership(rep, mus) == reference_qdr_membership(rep, mus)
+
+
+def fifths(m):
+    """m with every value divided by 5, over 5ths and 10ths: dividing by a
+    positive constant keeps the exchange axiom."""
+    return ValuatedMatroid(m.n, m.r, {b: v.value / 5 for b, v in m.table().items()})
+
+
+def cancelling_loop(rng, n):
+    """A rational field loop whose diagonal entries are all one nonzero
+    element: its diagonal terms share monomials and cancel."""
+    while True:
+        arrow = rand_scaled_arrow(rng, n, "v", "v")
+        if arrow.field is not None and not arrow.field.rows[0][0].is_zero:
+            break
+    d = arrow.field.rows[0][0]
+    return RepArrow("v", "v", field=FieldMatrix(
+        [[d if i == j else e for j, e in enumerate(row)] for i, row in enumerate(arrow.field.rows)]))
+
+
+def invariant_loop(rng, n, r):
+    """A rational field loop A = d*I + U^T Q on [n] and the valuated matroid
+    of a rank-r U, whose row span A maps into itself, so that the matroid
+    is a realizable point of the loop; U's first row is multiplied by
+    t^(k/5), which raises every value by k/5."""
+    while True:
+        u = rational_matrix(rng, r, n, exp_dens=(1, 2, 3))
+        if rank_via_minors(u) == r:
+            break
+    q = rational_matrix(rng, r, n, exp_dens=(1, 2, 3)).rows
+    d = PuiseuxElement({Fraction(rng.randint(-2, 2), 3): Fraction(rng.choice([-1, 1, 3]), 2)})
+    a = FieldMatrix([[(d if i == j else ZERO) + sum((u.rows[k][i] * q[k][j] for k in range(r)), ZERO)
+                      for j in range(n)] for i in range(n)])
+    shift = PuiseuxElement.t_power(Fraction(rng.randint(-5, 5), 5))
+    u = FieldMatrix([[shift * x for x in u.rows[0]]] + list(u.rows[1:]))
+    return RepArrow("v", "v", field=a), pluecker_valuations(u)
+
+
+def rational_loop_instance(rng, k):
+    """A loop v -> v on [n], n <= 4, and a matroid at v with values over
+    5ths, by k % 3: a field loop whose monomials cancel and a random
+    matroid; a rand_scaled_arrow loop (exponents over 1, 2 and 3, both
+    layers) and a random matroid or, at rank 1, a point with coordinates
+    k/5 or infinity; or a loop with a realizable point (invariant_loop),
+    one value moved by k/5 one time in two, with r < n.  Every eighth
+    instance has a loop-free arrow u -> v before the loop, and every eighth
+    one v -> u after it."""
+    n = rng.randint(1, 4)
+    r = rng.randint(1, n)
+    if k % 3 == 0:
+        loop, mu = cancelling_loop(rng, n), fifths(rand_matroid(rng, r, n))
+    elif k % 3 == 1:
+        loop, mu = rand_scaled_arrow(rng, n, "v", "v"), fifths(rand_matroid(rng, r, n))
+        point = {(i,): Fraction(rng.randint(-5, 5), 5) for i in range(1, n + 1)
+                 if rng.random() < 0.8}
+        if r == 1 and point and rng.random() < 0.5:
+            mu = ValuatedMatroid(n, 1, point)
+    else:
+        n = max(n, 2)
+        r = min(r, n - 1)  # so that the loop has relations
+        loop, mu = invariant_loop(rng, n, r)
+        if rng.random() < 0.5:
+            table = {b: v.value for b, v in mu.table().items()}
+            b = rng.choice(sorted(table))
+            table[b] += Fraction(rng.choice([-3, -1, 1, 2]), 5)
+            mu = ValuatedMatroid(n, r, table)
+    if k % 4 != 3:
+        return QuiverRepresentation(n, ["v"], [loop], {"v": r}), {"v": mu}
+    s = rng.randint(1, n)
+    other = rand_scaled_arrow(rng, n, "u", "v") if k % 8 == 3 else rand_scaled_arrow(rng, n, "v", "u")
+    arrows = [other, loop] if k % 8 == 3 else [loop, other]
+    rep = QuiverRepresentation(n, ["u", "v"], arrows, {"u": s, "v": r})
+    return rep, {"u": fifths(rand_matroid(rng, s, n)), "v": mu}
+
+
+def test_rational_loops_match_reference():
+    rng = random.Random(20231210)
+    stages, layers = Counter(), Counter()
+    for k in range(900):
+        rep, mus = rational_loop_instance(rng, k)
+        got = qdr_membership(rep, mus)
+        assert got == reference_qdr_membership(rep, mus), (rep.arrows, mus)
+        if got[0]:
+            stages["accepted", k % 3] += 1
+        else:
+            arrow = rep.arrows[got[1][1]] if got[1][0] == "relation" else None
+            stages["loop" if arrow and arrow.src == arrow.dst else got[1][0]] += 1
+        loop = next(a for a in rep.arrows if a.src == a.dst)
+        layers["field" if loop.field is not None else "tropical"] += 1
+    assert layers["field"] >= 400 and layers["tropical"] >= 100, layers
+    # realizable points on loops with relations, and rejections by a loop
+    assert stages["accepted", 2] >= 100 and stages["loop"] >= 200, stages
+
+
+def test_loops_are_decided_without_relation_objects(monkeypatch):
+    """quiver._convert builds the Puiseux and tropical relation objects;
+    neither membership route may call it on a loop."""
+    rng = random.Random(20231214)
+    cases = [rational_loop_instance(rng, k) for k in range(120)]
+    cases.append((QuiverRepresentation(2, ["v"], [RepArrow("v", "v", field=FieldMatrix(
+        [[1, 0], [0, PuiseuxElement({0: 1, 1: 1})]]))], {"v": 1}),
+                  {"v": ValuatedMatroid(2, 1, {(1,): 0, (2,): 0})}))
+    expected = [(reference_qdr_membership(rep, mus), qdr_cross_check(rep, mus)[1])
+                for rep, mus in cases]
+    assert expected[-1][0] == (False, ("relation", 0, (), (1, 2)))
+
+    def no_relation_objects(*args):
+        raise AssertionError("a relation object was built")
+
+    monkeypatch.setattr(quiver, "_convert", no_relation_objects)
+    for (rep, mus), (relation, containment) in zip(cases, expected):
+        assert qdr_membership(rep, mus) == relation
+        assert qdr_cross_check(rep, mus) == (relation, containment)
