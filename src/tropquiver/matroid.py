@@ -72,7 +72,7 @@ class ValuatedMatroid:
         if n < 1 or r < 0 or r > n:
             raise UsageError("need 0 <= r <= n and n >= 1, got r=%s n=%s" % (r, n))
         finite, seen = {}, set()
-        for subset, value in values.items() if hasattr(values, "items") else values:
+        for subset, value in dict(values).items():
             subset = _subset(subset)
             if len(subset) != r:
                 raise UsageError("subset %r does not have size %d" % (subset, r))
