@@ -251,11 +251,12 @@ def _subset_vectors(n, size, at, members, grouped):
     return out
 
 
-def _unique_minimum(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid, grouped):
+def _unique_minimum(a, mu: ValuatedMatroid, nu: ValuatedMatroid, grouped):
     """The first pair, in walk order, of a cocircuit-side vector c_I of mu
     and a circuit-side vector C_J of nu whose terms val(A_ij) + c_j + C_i
     have a finite minimum attained once, as ((I, c_I), (J, C_J)) with
-    TropVectors, or None.
+    TropVectors, or None.  A is a TropMatrix or a FieldMatrix, read through
+    the finite entries of val(A) that either gives.
 
     Without grouped these are the terms of the quiver Pluecker relation
     (I, J) of an arrow between two distinct vertices: every term counts,
@@ -268,8 +269,7 @@ def _unique_minimum(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid, gro
     """
     if not subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1):
         return None  # rank(mu) = 0 or rank(nu) = n: no pair, so no vector is built
-    entries = [(i, j, v.value) for i, row in enumerate(a.rows, 1)
-               for j, v in enumerate(row, 1) if v.is_finite]
+    entries = a._finite_entries()
     scale, (mu_at, nu_at) = _int_tables((mu, nu), [x for _, _, x in entries])
     columns = {}
     for i, j, x in entries:
@@ -303,8 +303,9 @@ def _unique_minimum(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid, gro
     return None
 
 
-def containment_check(a: TropMatrix, mu: ValuatedMatroid, nu: ValuatedMatroid):
-    """Is val(A) (.) trop(mu) contained in trop(nu)?
+def containment_check(a, mu: ValuatedMatroid, nu: ValuatedMatroid):
+    """Is val(A) (.) trop(mu) contained in trop(nu)?  A is a TropMatrix, or
+    a puiseux.FieldMatrix standing for its valuation.
 
     The image is tropically generated by the images of mu's cocircuits, so
     it suffices to test each image against nu's circuits, in the walk that

@@ -14,7 +14,8 @@ with one N and puts each image row A*u on top of V's rows, so V's subminors
 are computed once per call and shared by every image row.  A matrix-vector
 product also runs on scaled integers and is converted back once per output
 term.  The valuation of an element is its least exponent; zero has valuation
-infinity.
+infinity.  FieldMatrix shares trop's matrix base with TropMatrix and gives
+val(A)'s finite entries without building a TropValue.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import lcm, prod
 
 from .errors import CapacityError, NotARealizationError, ShapeError, UsageError
 from .matroid import ValuatedMatroid
-from .trop import INF, TropValue
+from .trop import INF, TropValue, _Matrix
 
 SIZE_CAP = (6, 8)  # largest (smaller, larger) dimension whose minors are taken
 
@@ -146,31 +147,18 @@ def valuation(p: PuiseuxElement) -> TropValue:
 
 
 @dataclass(frozen=True, init=False, repr=False)
-class FieldMatrix:
+class FieldMatrix(_Matrix):
     """Rectangular matrix of Puiseux elements."""
 
-    __slots__ = ("rows",)
-    rows: tuple
+    __slots__ = ()
+    _coerce = staticmethod(_coerce)
+    _one, _zero = ONE, ZERO
+    _layer, _sep = "field", ", "
 
-    def __init__(self, rows):
-        rows = tuple(tuple(_coerce(e) for e in row) for row in rows)
-        if not rows or not rows[0]:
-            raise ShapeError("empty field matrix")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ShapeError("ragged field matrix")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def n_rows(self):
-        return len(self.rows)
-
-    @property
-    def n_cols(self):
-        return len(self.rows[0])
-
-    def entry(self, i, j):
-        return self.rows[i][j]
+    def _finite_entries(self):
+        """val(A)'s finite entries: each nonzero entry's least exponent."""
+        return [(i, j, min(x._terms)) for i, row in enumerate(self.rows, 1)
+                for j, x in enumerate(row, 1) if x._terms]
 
     def matvec(self, v):
         v = tuple(_coerce(e) for e in v)
@@ -182,15 +170,6 @@ class FieldMatrix:
             PuiseuxElement({Fraction(e, exp_scale): Fraction(c, coeff_scale)
                             for e, c in image.items()})
             for image in _image(flat, self.n_cols, vec)
-        )
-
-    def __repr__(self):
-        return "[" + "; ".join(", ".join(repr(e) for e in r) for r in self.rows) + "]"
-
-    @classmethod
-    def identity(cls, n):
-        return cls(
-            tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
         )
 
 

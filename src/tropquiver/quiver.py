@@ -4,7 +4,9 @@ and subrepresentation witnesses.
 
 A representation fixes the ambient space K^n at every vertex; each arrow
 carries an n x n matrix in a field layer (Puiseux entries), a tropical
-layer (its entrywise valuation), or both.  Relation variables are labeled
+layer (its entrywise valuation), or both, validated equal.  The walks read
+val(A) from either layer, the cheaper tropical one where both are given,
+and never build it as a TropMatrix.  Relation variables are labeled
 (vertex, subset) so that a tuple of valuated matroids keyed by vertex
 names gives an assignment directly.
 
@@ -93,7 +95,7 @@ class QuiverRepresentation:
                 if mat is not None and (mat.n_rows, mat.n_cols) != (n, n):
                     raise ShapeError("arrow matrices must be %dx%d" % (n, n))
             if a.field is not None and a.trop is not None:
-                if self._valuation_matrix(a.field) != a.trop:
+                if a.field._finite_entries() != a.trop._finite_entries():
                     raise UsageError(
                         "tropical layer of arrow %r is not the valuation of its "
                         "field layer" % (a,)
@@ -103,13 +105,11 @@ class QuiverRepresentation:
         object.__setattr__(self, "arrows", arrows)
         object.__setattr__(self, "dim", dim)
 
-    @staticmethod
-    def _valuation_matrix(m: FieldMatrix) -> TropMatrix:
-        return TropMatrix(tuple(tuple(valuation(e) for e in row) for row in m.rows))
-
     def trop_matrix(self, a_idx) -> TropMatrix:
+        """The arrow's tropical layer, or the valuation of its field layer."""
         a = self.arrows[a_idx]
-        return a.trop if a.trop is not None else self._valuation_matrix(a.field)
+        return a.trop if a.trop is not None else TropMatrix(
+            tuple(tuple(valuation(e) for e in row) for row in a.field.rows))
 
     def field_matrix(self, a_idx) -> FieldMatrix:
         a = self.arrows[a_idx]
@@ -390,7 +390,7 @@ def _relation_failure(rep: QuiverRepresentation, mus):
     check_walk("membership by relations", _arrow_pairs(rep), "(I, J) pairs")
     for a_idx, arrow in enumerate(rep.arrows):
         if arrow.src != arrow.dst:
-            hit = _unique_minimum(rep.trop_matrix(a_idx), mus[arrow.src], mus[arrow.dst],
+            hit = _unique_minimum(arrow.trop or arrow.field, mus[arrow.src], mus[arrow.dst],
                                   grouped=False)
             if hit is not None:
                 return "relation", a_idx, hit[0][0], hit[1][0]
@@ -439,9 +439,7 @@ def _containment_failure(rep: QuiverRepresentation, mus):
     ("containment", arrow, (cocircuit, circuit)), or None."""
     check_walk("membership by containment", _arrow_pairs(rep), "(cocircuit, circuit) pairs")
     for a_idx, arrow in enumerate(rep.arrows):
-        ok, cert = containment_check(
-            rep.trop_matrix(a_idx), mus[arrow.src], mus[arrow.dst]
-        )
+        ok, cert = containment_check(arrow.trop or arrow.field, mus[arrow.src], mus[arrow.dst])
         if not ok:
             return "containment", a_idx, cert
     return None

@@ -3,7 +3,8 @@
 Values are arbitrary-precision rationals or the absorbing element infinity;
 no floating point anywhere.  Tropical addition is ``min`` (via the total
 order in which infinity is the largest element) and tropical multiplication
-is classical addition, written with Python's ``+``.
+is classical addition, written with Python's ``+``.  TropMatrix and
+puiseux.FieldMatrix share one matrix base, _Matrix.
 """
 
 from __future__ import annotations
@@ -176,19 +177,23 @@ def projectively_equal(v: TropVector, w: TropVector) -> bool:
 
 
 @dataclass(frozen=True, init=False, repr=False)
-class TropMatrix:
-    """Rectangular grid of tropical values."""
+class _Matrix:
+    """Nonempty rectangular grid.  A subclass gives its entry coercion, one
+    and zero, layer name and repr separator, and _finite_entries: val(A)'s
+    finite entries as 1-based (i, j, rational) triples, read by matroid's
+    walk from either layer."""
 
     __slots__ = ("rows",)
     rows: tuple
 
     def __init__(self, rows):
-        rows = tuple(tuple(_coerce(e) for e in row) for row in rows)
+        coerce = self._coerce
+        rows = tuple(tuple(map(coerce, row)) for row in rows)
         if not rows or not rows[0]:
-            raise ShapeError("empty tropical matrix")
+            raise ShapeError("empty %s matrix" % self._layer)
         width = len(rows[0])
         if any(len(row) != width for row in rows):
-            raise ShapeError("ragged tropical matrix")
+            raise ShapeError("ragged %s matrix" % self._layer)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -204,15 +209,26 @@ class TropMatrix:
         return self.rows[i][j]
 
     def __repr__(self):
-        return "[" + "; ".join(" ".join(repr(e) for e in r) for r in self.rows) + "]"
+        return "[" + "; ".join(self._sep.join(repr(e) for e in r) for r in self.rows) + "]"
 
     @classmethod
     def identity(cls, n):
-        return cls(
-            tuple(
-                tuple(ZERO if i == j else INF for j in range(n)) for i in range(n)
-            )
-        )
+        one, zero = cls._one, cls._zero
+        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class TropMatrix(_Matrix):
+    """Rectangular grid of tropical values."""
+
+    __slots__ = ()
+    _coerce = staticmethod(_coerce)
+    _one, _zero = ZERO, INF
+    _layer, _sep = "tropical", " "
+
+    def _finite_entries(self):
+        return [(i, j, v.value) for i, row in enumerate(self.rows, 1)
+                for j, v in enumerate(row, 1) if v.value is not None]
 
 
 def trop_matvec(a: TropMatrix, v: TropVector) -> TropVector:
