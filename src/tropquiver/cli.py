@@ -9,7 +9,9 @@ sort_keys=True).
 
 Exit codes: 0 = predicate true / object emitted, 1 = predicate false
 (certificate emitted), 2 = input or usage error, 3 = internal error (its
-traceback goes to stderr).
+traceback goes to stderr), 141 = stdout was closed before the verdict was
+written (the status a shell reports for a process ended by SIGPIPE;
+nothing goes to stderr).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 import traceback
@@ -184,6 +187,22 @@ def _parse(argv):
 
 def main(argv=None):
     args = _parse(sys.argv[1:] if argv is None else list(argv))
+    try:
+        code = _answer(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point its descriptor at devnull, so that
+        # the flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
+
+
+def _answer(args):
+    """Run the parsed call, write its verdict to stdout and return its
+    exit code."""
     start = time.monotonic()
     try:
         ok, payload, *extra = _run_command(args)

@@ -156,8 +156,11 @@ def map_from_json(data) -> GroundSetMap:
     assignments = {}
     for entry in entries:
         i, to, shift = _fields(entry, ("i", "to", "shift"), "bad map entry %r", entry)
-        if i == "o":
-            continue  # the origin is implicit
+        if i == "o":  # the origin is implicit, and a map fixes it
+            if to != "o" or shift != "inf":
+                raise UsageError('the origin maps to itself: its entry needs "to": "o", '
+                                 '"shift": "inf", got %r' % (entry,))
+            continue
         i = _int(i, "map entry i")
         if i in assignments:
             raise UsageError("map entry i = %d is listed twice" % i)

@@ -109,33 +109,41 @@ def rand_arrow(rng, n, src, dst):
     return RepArrow(src, dst, trop=trop)
 
 
+def rand_scaled_exponent(rng):
+    """An exponent or tropical value with denominator 1, 2 or 3."""
+    return Fraction(rng.randint(-3, 4), rng.choice([1, 2, 3]))
+
+
+def rand_scaled_field_matrix(rng, n, density):
+    """An n x n field matrix whose entries are nonzero with probability
+    density: each row draws its coefficients over its own denominator (1, 2,
+    3 or 5), and exponents come from rand_scaled_exponent."""
+    rows = []
+    for _ in range(n):
+        den = rng.choice([1, 2, 3, 5])
+        rows.append([
+            PuiseuxElement({rand_scaled_exponent(rng):
+                            Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), den)
+                            for _ in range(rng.randint(1, 2))})
+            if rng.random() < density else PuiseuxElement()
+            for _ in range(n)
+        ])
+    return FieldMatrix(rows)
+
+
 def rand_scaled_arrow(rng, n, src, dst):
-    """A field arrow (sometimes with its tropical layer too) or a tropical
-    arrow whose data are fractions: each field row draws its coefficients
-    over its own denominator (1, 2, 3 or 5), exponents and tropical values
-    have denominators 1, 2 and 3."""
+    """A field arrow (sometimes with its tropical layer too) as
+    rand_scaled_field_matrix draws it, or a tropical arrow whose values come
+    from rand_scaled_exponent."""
     density = rng.choice([0.35, 0.7, 1.0])
-
-    def exponent():
-        return Fraction(rng.randint(-3, 4), rng.choice([1, 2, 3]))
-
     if rng.random() < 0.5:
-        rows = []
-        for _ in range(n):
-            den = rng.choice([1, 2, 3, 5])
-            rows.append([
-                PuiseuxElement({exponent(): Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), den)
-                                for _ in range(rng.randint(1, 2))})
-                if rng.random() < density else PuiseuxElement()
-                for _ in range(n)
-            ])
-        field = FieldMatrix(rows)
+        field = rand_scaled_field_matrix(rng, n, density)
         trop = None
         if rng.random() < 0.3:
             trop = TropMatrix([[valuation(e) for e in row] for row in field.rows])
         return RepArrow(src, dst, field=field, trop=trop)
     trop = TropMatrix(
-        [[TropValue(exponent()) if rng.random() < density else TropValue(None)
+        [[TropValue(rand_scaled_exponent(rng)) if rng.random() < density else TropValue(None)
           for _ in range(n)] for _ in range(n)]
     )
     return RepArrow(src, dst, trop=trop)

@@ -570,6 +570,24 @@ class TestErrors:
         code, out = run(capsys, command, *[write(name + ".json", data) for name, data in files])
         assert code == 2 and out["error"] == message
 
+    # not in EXIT_2 either: a map's origin entry must fix the origin, and an
+    # arrow's tropical layer must be the valuation of its field layer
+    @pytest.mark.parametrize("command,files,message", [
+        ("induce", [("m", UNIFORM_32), ("f", {"n": 3, "f": [
+            {"i": i, "to": i, "shift": "0"} for i in (1, 2, 3)] + [
+            {"i": "o", "to": 2, "shift": "5"}]})], "the origin maps to itself"),
+        ("induce", [("m", UNIFORM_32), ("f", {"n": 3, "f": [
+            {"i": i, "to": i, "shift": "0"} for i in (1, 2, 3)] + [
+            {"i": "o", "to": "o", "shift": "0"}]})], "the origin maps to itself"),
+        ("relations", [("q", dict(KRONECKER, arrows=[
+            {"src": "u", "dst": "w", "matrix_field": [["1", "0"], ["0", [{"c": "1", "e": "1/2"}]]],
+             "matrix_trop": [["0", "inf"], ["inf", "1"]]}]))],
+         "is not the valuation of its field layer"),
+    ], ids=["origin-moved", "origin-shifted", "two-layers"])
+    def test_origin_entry_and_arrow_layers(self, write, capsys, command, files, message):
+        code, out = run(capsys, command, *[write(name + ".json", data) for name, data in files])
+        assert code == 2 and set(out) == {"command", "error"} and message in out["error"]
+
     def test_non_list_map_entries(self, write, capsys):
         f = write("f.json", {"n": 3, "f": 5})
         code, out = run(capsys, "induce", write("m.json", UNIFORM_32), f)
@@ -624,6 +642,24 @@ def test_python_dash_m_runs_the_cli(write):
     assert json.loads(proc.stdout)["certificate"] == [[1, 2], [3, 4], 1]
 
 
+def test_closed_stdout_exits_141_quietly(write):
+    # the reader stops after a few bytes of a verdict far larger than a pipe
+    # holds, so a later write fails: that is no failed predicate (exit 1)
+    # and no traceback, but the status of a process ended by SIGPIPE
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.Popen([sys.executable, "-m", "tropquiver", "relations",
+                             write("chain7.json", CHAIN_7)],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(16) == b'{\n  "certificate'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (141, b"")
+
+
 U31 = {"n": 3, "r": 1, "values": [[[1], "0"], [[2], "0"], [[3], "0"]]}
 MAP_3 = {"n": 3, "f": [{"i": 1, "to": 1, "shift": "3"}, {"i": 2, "to": 3, "shift": "1"},
                        {"i": 3, "to": 2, "shift": "0"}]}
@@ -659,13 +695,17 @@ def test_verdict_is_indented_with_sorted_keys(write, capsys, argv, files):
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
+# the n = 7 identity chain, ranks (3, 5): its relations verdict is about
+# 1.5 MB of JSON
+CHAIN_7 = {"n": 7, "vertices": ["v1", "v2"], "dim": {"v1": 3, "v2": 5},
+           "arrows": [{"src": "v1", "dst": "v2",
+                       "matrix_field": [["1" if i == j else "0" for j in range(7)]
+                                        for i in range(7)]}]}
+
+
 def test_long_verdict_is_written_in_batches(write, capsys):
-    # relations of the n = 7 identity chain, ranks (3, 5): about 1.5 MB of
-    # JSON in some 10^5 chunks, written in a few dozen calls
-    identity = [["1" if i == j else "0" for j in range(7)] for i in range(7)]
-    chain = {"n": 7, "vertices": ["v1", "v2"], "dim": {"v1": 3, "v2": 5},
-             "arrows": [{"src": "v1", "dst": "v2", "matrix_field": identity}]}
-    assert main(["relations", write("chain7.json", chain)]) == 0
+    # some 10^5 chunks, written in a few dozen calls
+    assert main(["relations", write("chain7.json", CHAIN_7)]) == 0
     verdict = json.loads(capsys.readouterr().out)
 
     class Counting(io.StringIO):

@@ -16,17 +16,26 @@ from tropquiver import (
     QuiverRepresentation,
     RepArrow,
     TropMatrix,
+    containment_check,
     is_valuated_matroid,
     pluecker_valuations,
     qdr_cross_check,
     qdr_membership,
     qdr_membership_via_containment,
     trop_qgr_witness_check,
+    valuation,
 )
+from tropquiver.matroid import _unique_minimum
 from tropquiver.puiseux import rank_via_minors
 from tropquiver.trop import min_attained_twice, trop_sum
 
-from helpers import rand_arrow, rand_field_matrix, rand_realization, rand_weakly_monomial
+from helpers import (
+    rand_arrow,
+    rand_field_matrix,
+    rand_realization,
+    rand_scaled_field_matrix,
+    rand_weakly_monomial,
+)
 from test_qdr_reference import rand_matroid, random_arrow_instance
 
 
@@ -144,3 +153,50 @@ def test_cross_check_runs_both_routes():
         rep, mus = random_arrow_instance(rng, k)
         assert qdr_cross_check(rep, mus) == (
             qdr_membership(rep, mus), qdr_membership_via_containment(rep, mus))
+
+
+def test_routes_decide_field_arrows_without_a_valuation_matrix(monkeypatch):
+    # both routes read val(A) from the field layer itself: with trop_matrix
+    # unusable they decide every field-arrow instance, loops included, as
+    # before
+    rng = random.Random(20231216)
+    instances = []
+    for k in range(900):
+        rep, mus = (random_loop_instance if k % 2 else random_arrow_instance)(rng, k)
+        if all(a.field is not None for a in rep.arrows):
+            routes = (qdr_membership(rep, mus), qdr_membership_via_containment(rep, mus),
+                      qdr_cross_check(rep, mus))
+            instances.append((rep, mus, routes))
+
+    def unusable(self, a_idx):
+        raise AssertionError("a decision built a valuation matrix")
+
+    monkeypatch.setattr(QuiverRepresentation, "trop_matrix", unusable)
+    for rep, mus, routes in instances:
+        assert (qdr_membership(rep, mus), qdr_membership_via_containment(rep, mus),
+                qdr_cross_check(rep, mus)) == routes, (rep.arrows, mus)
+    loops = [routes for rep, _, routes in instances if rep.arrows[0].src == rep.arrows[0].dst]
+    assert len(loops) >= 50
+    # each route accepts and rejects, on loops and between vertices
+    for group in (loops, [routes for _, _, routes in instances]):
+        assert {ok for routes in group for ok, _ in routes[:2]} == {True, False}
+
+
+def test_walk_reads_a_field_matrix_as_its_valuation():
+    # the field layer and its valuation matrix give one verdict and one
+    # certificate, in the grouped walk (containment) and the ungrouped one
+    # (relations between distinct vertices)
+    rng = random.Random(20231217)
+    verdicts = set()
+    for _ in range(500):
+        n = rng.randint(1, 4)
+        r, s = rng.randint(1, n), rng.randint(1, n)
+        a = rand_scaled_field_matrix(rng, n, rng.choice([0.35, 0.7, 1.0]))
+        val = TropMatrix([[valuation(e) for e in row] for row in a.rows])
+        mu, nu = rand_matroid(rng, r, n), rand_matroid(rng, s, n)
+        contained = containment_check(a, mu, nu)
+        assert contained == containment_check(val, mu, nu), (a, mu, nu)
+        unique = _unique_minimum(a, mu, nu, grouped=False)
+        assert unique == _unique_minimum(val, mu, nu, grouped=False), (a, mu, nu)
+        verdicts.add((contained[0], unique is None))
+    assert verdicts == {(True, True), (False, True), (False, False)}

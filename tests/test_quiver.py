@@ -457,6 +457,29 @@ class TestValidation:
         with pytest.raises(UsageError):
             qdr_membership(rep, mus)
 
+    # a field layer with rational exponents and zero entries, and its
+    # valuation [[1/2, inf], [0, 5/3]]
+    TWO_LAYERS = FieldMatrix([[PuiseuxElement({Fraction(1, 2): 3, 2: -1}), zero],
+                              [Fraction(1, 2), PuiseuxElement.monomial(Fraction(-2, 3), Fraction(5, 3))]])
+
+    @staticmethod
+    def two_layer_rep(field, trop):
+        return QuiverRepresentation(2, ["u", "w"], [RepArrow("u", "w", field=field, trop=trop)],
+                                    {"u": 1, "w": 1})
+
+    def test_matching_layers_are_accepted(self):
+        trop = TropMatrix([[Fraction(1, 2), None], [0, Fraction(5, 3)]])
+        assert self.two_layer_rep(self.TWO_LAYERS, trop).trop_matrix(0) is trop
+
+    @pytest.mark.parametrize("rows", [
+        [[Fraction(1, 2), None], [0, Fraction(5, 2)]],  # a value differs
+        [[Fraction(1, 2), 7], [0, Fraction(5, 3)]],  # finite over a field zero
+        [[Fraction(1, 2), None], [None, Fraction(5, 3)]],  # inf over a nonzero entry
+    ], ids=["value", "field-zero", "field-nonzero"])
+    def test_mismatched_layers_are_rejected(self, rows):
+        with pytest.raises(UsageError, match="is not the valuation of its field layer"):
+            self.two_layer_rep(self.TWO_LAYERS, TropMatrix(rows))
+
     def test_trop_layer_must_be_valuation_of_field_layer(self):
         with pytest.raises(UsageError):
             QuiverRepresentation(
