@@ -642,6 +642,14 @@ def test_python_dash_m_runs_the_cli(write):
     assert json.loads(proc.stdout)["certificate"] == [[1, 2], [3, 4], 1]
 
 
+# the n = 7 identity chain, ranks (3, 5): its relations verdict is about
+# 1.5 MB of JSON
+CHAIN_7 = {"n": 7, "vertices": ["v1", "v2"], "dim": {"v1": 3, "v2": 5},
+           "arrows": [{"src": "v1", "dst": "v2",
+                       "matrix_field": [["1" if i == j else "0" for j in range(7)]
+                                        for i in range(7)]}]}
+
+
 def test_closed_stdout_exits_141_quietly(write):
     # the reader stops after a few bytes of a verdict far larger than a pipe
     # holds, so a later write fails: that is no failed predicate (exit 1)
@@ -693,14 +701,6 @@ def test_verdict_is_indented_with_sorted_keys(write, capsys, argv, files):
     out = capsys.readouterr().out
     assert code in (0, 1)
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
-
-
-# the n = 7 identity chain, ranks (3, 5): its relations verdict is about
-# 1.5 MB of JSON
-CHAIN_7 = {"n": 7, "vertices": ["v1", "v2"], "dim": {"v1": 3, "v2": 5},
-           "arrows": [{"src": "v1", "dst": "v2",
-                       "matrix_field": [["1" if i == j else "0" for j in range(7)]
-                                        for i in range(7)]}]}
 
 
 def test_long_verdict_is_written_in_batches(write, capsys):
