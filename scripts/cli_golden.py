@@ -24,7 +24,12 @@ checkout's src/ gives that version's digest.  Everything runs in process:
 - every command that reads a matroid, accepted and rejected, on inputs
   whose matroids have different denominators (mixed_scale_inputs);
 - qdr-check with and without --cross-check on quivers with a loop, accepted
-  and rejected, and relations on one of them (loop_inputs).
+  and rejected, and relations on one of them (loop_inputs);
+- relations on a tropical arrow whose relations dedupe by a projective
+  shift, on a field arrow with rational entries, on two parallel arrows
+  whose relations dedupe against each other, on a quiver without
+  relations, and on a loop whose merged coefficient is past the int-to-str
+  digit limit, which exits 2 (relation_inputs).
 
 Each output enters the hash as the exact text the command wrote, with
 two edits: the value of elapsed_ms is masked and input paths are reduced
@@ -260,6 +265,39 @@ def rational_inputs():
     ]
 
 
+# n = 4, ranks (2, 2): 14 of the arrow's 16 relations are kept, the other
+# two being projective shifts of kept ones
+TROP_DEDUPE = {"n": 4, "vertices": ["u", "w"], "dim": {"u": 2, "w": 2}, "arrows": [
+    {"src": "u", "dst": "w", "matrix_trop": [["inf"] * 4, ["0", "-2/3", "inf", "inf"],
+                                            ["inf"] * 4, ["inf", "inf", "1", "0"]]}]}
+# the zero arrow between two rank-1 vertices: no relation at all
+NO_RELATIONS = {"n": 3, "vertices": ["u", "w"], "dim": {"u": 1, "w": 1}, "arrows": [
+    {"src": "u", "dst": "w", "matrix_field": [["0"] * 3] * 3}]}
+# diag(1/10^4299, 1/(10^4299 - 1)): its two diagonal terms share the
+# monomial p_1 p_2 and merge to 1/L, L the lcm of the two denominators,
+# whose 8598 digits are past the int-to-str limit
+BIG = 10 ** 4299
+BIG_LOOP = {"n": 2, "vertices": ["u"], "dim": {"u": 1}, "arrows": [
+    {"src": "u", "dst": "u", "matrix_field": [["1/%d" % BIG, "0"], ["0", "1/%d" % (BIG - 1)]]}]}
+
+
+def relation_inputs():
+    """relations on TROP_DEDUPE; on a field arrow u -> w with rational
+    entries, n = 4, ranks (2, 3); on two parallel arrows u -> w, RATIONAL_A
+    and 2t times it, whose relations are proportional, so the second
+    arrow's are dropped; on NO_RELATIONS; and on BIG_LOOP, which exits 2."""
+    a = rational_matrix(random.Random("cli_golden:relations"), 4, 4)
+    rational = gen.enc_quiver(4, ["u", "w"], [("u", "w", a)], {"u": 2, "w": 3})
+    doubled = [[[{"c": str(2 * Fraction(t["c"])), "e": str(Fraction(t["e"]) + 1)} for t in entry]
+                for entry in row] for row in RATIONAL_A]
+    parallel = {"n": 3, "vertices": ["u", "w"], "dim": {"u": 1, "w": 2}, "arrows": [
+        {"src": "u", "dst": "w", "matrix_field": RATIONAL_A},
+        {"src": "u", "dst": "w", "matrix_field": doubled}]}
+    return [("relations", [files]) for files in [
+        ("trop_dedupe", TROP_DEDUPE), ("rational_arrow", rational), ("parallel", parallel),
+        ("no_relations", NO_RELATIONS), ("big_loop", BIG_LOOP)]]
+
+
 _ELAPSED = re.compile(r'"elapsed_ms": [^,\n]*')
 
 
@@ -312,7 +350,7 @@ def records(seeds):
                   ("check-matroid", [("missing", None)])] + OVER_CAP
         inputs += [(command, files) for command, files, _ in EXIT_2]
         for command, files in (inputs + exchange_inputs() + rational_inputs() + mixed_scale_inputs()
-                               + loop_inputs()):
+                               + loop_inputs() + relation_inputs()):
             argv = command.split()
             for name, data in files:
                 argv.append(os.path.join(directory, name + ".json"))
