@@ -59,13 +59,14 @@ class GroundSetMap:
                 if shift.is_finite:
                     raise UsageError("element %d maps to o with a finite shift" % i)
                 f1[i], f2[i] = O, INF
-            elif shift.is_inf:
+                continue
+            if not 1 <= target <= n:
+                raise UsageError("target %r outside [1..%d]" % (target, n))
+            if shift.is_inf:
                 # an infinite shift kills every basis through i, exactly as
                 # mapping i to the origin does; normalize to the o case
                 f1[i], f2[i] = O, INF
             else:
-                if not 1 <= target <= n:
-                    raise UsageError("target %r outside [1..%d]" % (target, n))
                 f1[i], f2[i] = int(target), shift
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "f1", f1)

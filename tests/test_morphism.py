@@ -53,6 +53,12 @@ class TestGroundSetMap:
         f = GroundSetMap(2, {1: (2, None), 2: (2, 0)})
         assert f.f1[1] == 0 and f.f2[1].is_inf
 
+    @pytest.mark.parametrize("target", [3, 99, -1])
+    def test_infinite_shift_target_is_checked(self, target):
+        # the target is read before an infinite shift sends i to the origin
+        with pytest.raises(UsageError, match="outside"):
+            GroundSetMap(2, {1: (target, None), 2: (2, 0)})
+
     def test_total_assignment_required(self):
         with pytest.raises(UsageError):
             GroundSetMap(3, {1: (1, 0)})
