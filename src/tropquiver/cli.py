@@ -38,7 +38,7 @@ from .morphism import (
 )
 from .puiseux import pluecker_valuations
 from .quiver import (
-    all_relations,
+    _kept_relations,
     containment_check,
     flag_mode_check,
     qdr_cross_check,
@@ -83,8 +83,8 @@ def _qdr_check(rep, mus, cross_check):
 
 
 def _relations(rep):
-    rels = all_relations(rep)
-    return True, {"count": len(rels), "relations": [jsonio.relation_to_json(r) for r in rels]}
+    rels = jsonio.relations_to_json(_kept_relations(rep))
+    return True, {"count": len(rels), "relations": rels}
 
 
 MATROID = ("matroid", "matroid")

@@ -6,8 +6,12 @@ nothing else; infinity is the string "inf".
 Vectors are arrays, matrices arrays of row arrays.  Puiseux elements are
 term lists [{"c": "p/q", "e": "a/b"}, ...]; zero is the empty list.
 dump writes a verdict as json.dump(obj, stream, indent=2, sort_keys=True)
-does, byte for byte, in a few large writes instead of one per token, and
-renders each repeated relation monomial once.
+does, byte for byte, in a few large writes instead of one per token.
+Relations are encoded from quiver's int terms, without a Puiseux or
+tropical object: relations_to_json turns each distinct coefficient into
+text once, and dump assembles each relation from those texts and from the
+text of each monomial factor and classical coefficient, rendered once per
+indent.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _string
 from math import isinf
 
 from .errors import CapacityError, UsageError
-from .matroid import ValuatedMatroid
+from .matroid import ValuatedMatroid, _fractions
 from .morphism import GroundSetMap
 from .puiseux import FieldMatrix, PuiseuxElement
 from .quiver import QuiverRepresentation, RepArrow
@@ -98,7 +102,7 @@ def matroid_to_json(m: ValuatedMatroid):
     return {
         "n": m.n,
         "r": m.r,
-        "values": [[list(b), value_to_json(v)] for b, v in sorted(m.table().items())],
+        "values": [[list(b), rational_to_json(x)] for b, x in sorted(_fractions(m).items())],
     }
 
 
@@ -207,36 +211,52 @@ def flag_from_json(data):
     return [matroid_from_json(m) for m in data]
 
 
-class _Monomial(tuple):
-    """A monomial of relation_to_json, ((vertex, subset), ...), whose
-    vertex names are str and whose subsets hold ints.  Equal tuples of
-    such leaves render to equal text, which is not so for tuples at large
-    ((1,) == (True,) == (1.0,) and (0.0,) == (-0.0,)), so dump renders
-    each distinct _Monomial once per indent."""
+class _Relation(tuple):
+    """A relation as relations_to_json hands it to dump: (kind, where, I, J,
+    classical, terms).  kind is a str and I and J are tuples of ints;
+    classical is False on the tropical layer, whose classical key is null.
+    terms is a tuple of (monomial, (coefficient, value)): the monomial
+    ((vertex, subset), (vertex, subset)), each subset a tuple of ints and
+    the two vertex names the same in every monomial of the relation; the
+    coefficient the texts of a Puiseux coefficient's terms as (c, e) pairs,
+    None on the tropical layer; the value the text of the term's tropical
+    coefficient.  dump writes it in _write_relation."""
 
     __slots__ = ()
 
 
-def _monomial(m):
-    (u, _), (w, _) = m  # p_{I+j} q_{J-i}: two factors
-    return _Monomial(m) if type(u) is str and type(w) is str else m
+def _coefficient_texts(c, exp_scale, coeff_scale):
+    """The (coefficient, value) texts of _Relation for one int coefficient
+    c of quiver._relations: exponents divided by exp_scale, coefficients by
+    coeff_scale.  On the tropical layer (coeff_scale None) c is the value
+    and there is no coefficient."""
+    if coeff_scale is None:
+        return None, rational_to_json(Fraction(c, exp_scale))
+    coefficient = tuple((rational_to_json(Fraction(k, coeff_scale)),
+                         rational_to_json(Fraction(e, exp_scale))) for e, k in c)
+    return coefficient, rational_to_json(Fraction(c[0][0], exp_scale))
 
 
-def relation_to_json(rel):
-    """A relation of quiver.all_relations; a monomial is an array of
-    [vertex, subset] factors, handed to dump as tuples."""
-    return {
-        "kind": rel["kind"],
-        "where": rel["where"],
-        "I": list(rel["I"]),
-        "J": list(rel["J"]),
-        "classical": None if rel["classical"] is None else [
-            {"monomial": _monomial(m), "coeff": puiseux_to_json(c)} for m, c in rel["classical"]
-        ],
-        "tropical": [
-            {"monomial": _monomial(m), "coeff": value_to_json(c)} for c, m in rel["tropical"].terms
-        ],
-    }
+def relations_to_json(relations):
+    """The relations that quiver._kept_relations yields, as _Relation
+    objects for dump.  The JSON of each is an object with keys kind, where,
+    I, J, classical and tropical; a term of either layer is {"monomial":
+    [[vertex, subset], [vertex, subset]], "coeff": ...}, its coeff a Puiseux
+    element classically and a rational tropically.  Each distinct int
+    coefficient under each pair of scales is rendered once per call."""
+    texts = {}  # (exp_scale, coeff_scale) -> {int coefficient: its texts}
+    out = []
+    for kind, where, i_set, j_set, terms, exp_scale, coeff_scale in relations:
+        cache = texts.setdefault((exp_scale, coeff_scale), {})
+        rendered = []
+        for mono, c in terms:
+            text = cache.get(c)
+            if text is None:
+                text = cache[c] = _coefficient_texts(c, exp_scale, coeff_scale)
+            rendered.append((mono, text))
+        out.append(_Relation((kind, where, i_set, j_set, coeff_scale is not None,
+                              tuple(rendered))))
+    return out
 
 
 def certificate_to_json(cert):
@@ -264,22 +284,91 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
+def _text(x, nl, memo) -> str:
+    """The text of x on a line whose newline and indent are nl."""
+    part = []
+    _write(x, nl, part, None, memo)
+    return "".join(part)
+
+
+def _write_relation(x, nl, out, memo) -> None:
+    """Append the text of the _Relation x, on a line whose newline and
+    indent are nl, to out.  A term's text is assembled from the texts of
+    its monomial's two factors and of its classical coefficient, which memo
+    keeps per indent under the keys (factor, nl) and (nl, coefficient):
+    one starts with a tuple and the other with a str, so they never meet.
+    A factor repeats far more often than a monomial (56 distinct factors,
+    1015 distinct monomials of 1470 in the n = 7 identity chain's
+    relations).  Monomials are rendered in place where the relation's
+    vertex names are not both str, since equal names can render
+    differently (1 and True)."""
+    kind, where, i_set, j_set, classical, terms = x
+    inner = nl + "  "
+    term_nl = inner + "  "
+    field_nl = term_nl + "  "  # the line of a term's coeff and monomial
+    factor_nl = field_nl + "  "
+    monomials = []
+    if terms:
+        (u, _), (w, _) = terms[0][0]
+        if type(u) is str and type(w) is str:
+            for (f, g), _ in terms:
+                f_text = memo.get((f, factor_nl))
+                if f_text is None:
+                    f_text = memo[f, factor_nl] = _text(f, factor_nl, memo)
+                g_text = memo.get((g, factor_nl))
+                if g_text is None:
+                    g_text = memo[g, factor_nl] = _text(g, factor_nl, memo)
+                monomials.append("[" + factor_nl + f_text + "," + factor_nl + g_text
+                                 + field_nl + "]")
+        else:
+            monomials = [_text(mono, field_nl, memo) for mono, _ in terms]
+    head, mid, close = "{" + field_nl + '"coeff": ', "," + field_nl + '"monomial": ', term_nl + "}"
+    first, comma = "[" + term_nl, "," + term_nl
+    extend = out.extend
+    out.append("{" + inner + '"I": ')
+    _write(i_set, inner, out, None, memo)
+    out.append("," + inner + '"J": ')
+    _write(j_set, inner, out, None, memo)
+    out.append("," + inner + '"classical": ')
+    if not classical:
+        out.append("null")
+    elif not terms:
+        out.append("[]")
+    else:
+        sep = first
+        for monomial, (_, (coeff, _)) in zip(monomials, terms):
+            text = memo.get((field_nl, coeff))
+            if text is None:
+                text = memo[field_nl, coeff] = _text([{"c": c, "e": e} for c, e in coeff],
+                                                     field_nl, memo)
+            extend((sep, head, text, mid, monomial, close))
+            sep = comma
+        out.append(inner + "]")
+    out.append("," + inner + '"kind": ' + _string(kind) + "," + inner + '"tropical": ')
+    if not terms:
+        out.append("[]")
+    else:
+        sep = first
+        for monomial, (_, (_, value)) in zip(monomials, terms):
+            extend((sep, head, _string(value), mid, monomial, close))
+            sep = comma
+        out.append(inner + "]")
+    out.append("," + inner + '"where": ')
+    _write(where, inner, out, None, memo)
+    out.append(nl + "}")
+
+
 def _write(x, nl, out, stream, memo) -> None:
     """Append the text of x to out, x on a line whose newline and indent
     are nl.  With a stream, write out to it and clear it once it holds
-    _BATCH chunks; without one (a monomial being rendered), never.  memo
-    maps (monomial, nl) to the monomial's text.  A module function, not a
-    closure, so that a call leaves no reference cycle behind to hold out
-    and memo until the garbage collector runs."""
+    _BATCH chunks; without one (a part of a relation being rendered),
+    never.  memo holds the texts of relation parts (_write_relation).  A
+    module function, not a closure, so that a call leaves no reference
+    cycle behind to hold out and memo until the garbage collector runs."""
     # containers first: the loops below write str and int items inline,
     # so nearly every call is for a container
-    if type(x) is _Monomial:
-        text = memo.get((x, nl))
-        if text is None:
-            part = []
-            _write(tuple(x), nl, part, None, memo)
-            text = memo[x, nl] = "".join(part)
-        out.append(text)
+    if type(x) is _Relation:
+        _write_relation(x, nl, out, memo)
     elif isinstance(x, dict):
         if not x:
             out.append("{}")
@@ -338,10 +427,12 @@ def dump(obj, stream) -> None:
     """Write obj to stream exactly as json.dump(obj, stream, indent=2,
     sort_keys=True) does, without json's generator per nesting level:
     chunks collect in a list, joined and written once that holds _BATCH of
-    them and once at the end.  The text of a monomial that relation_to_json
-    hands over is rendered once per indent and reused at every repeat.
-    obj is built of str, int, float, bool, None, lists, tuples and dicts
-    with str keys; anything else raises TypeError."""
+    them and once at the end.  A relation of relations_to_json is written
+    from the texts it carries, the text of each of its monomials and
+    classical coefficients rendered once per indent and reused at every
+    repeat.  obj is built of str, int, float, bool, None, lists, tuples,
+    dicts with str keys and those relations; anything else raises
+    TypeError."""
     out = []
     _write(obj, "\n", out, stream, {})
     stream.write("".join(out))

@@ -15,7 +15,8 @@ once, exponents by the lcm N of their denominators and coefficients by one
 lcm L over the whole matrix (not per row, as puiseux's minor expansion
 does, because one relation sums entries of different rows).  Puiseux and
 tropical objects are built only for the relations that are yielded or
-kept.
+kept, and not at all for the relations verdict: _kept_relations hands the
+kept int relations and their scales to jsonio.relations_to_json.
 
 Both membership routes evaluate an arrow by the terms
 val(A_ij) + mu(I+j) + nu(J-i) in matroid's one integer walk: relations
@@ -301,23 +302,12 @@ def _arrow_pairs(rep: QuiverRepresentation):
                for a in rep.arrows)
 
 
-def all_relations(rep: QuiverRepresentation):
-    """Every defining relation of the quiver Dressian: the vertex
-    Grassmann-Pluecker relations plus the per-arrow quiver Pluecker
-    relations, deduplicated (classically up to scalar, tropically up to a
-    projective shift).  Vacuous relations are never generated.
-
-    Relations are generated and compared over ints (_relations), with one
-    exponent scale for the whole call, since relations of different arrows
-    and vertices are compared with each other; scaling is a bijection, so
-    both equivalences are unchanged.  Puiseux and tropical objects are
-    built only for the relations kept.
-
-    Returns a list of dicts with keys kind, where, I, J, classical,
-    tropical.  Raises CapacityError, before any matrix is scaled, when more
-    than RELATION_CAP (I, J) pairs would be walked: C(n, r-1) * C(n, r+1)
-    for a vertex of rank r, plus the pairs of every arrow (_arrow_pairs).
-    """
+def _kept_relations(rep: QuiverRepresentation):
+    """The defining relations of the quiver Dressian over ints, as
+    all_relations keeps them and in its order: yields (kind, where, I, J,
+    terms, exp_scale, coeff_scale), terms as _relations yields them, with
+    exponents times exp_scale and coefficients times coeff_scale (None for
+    the tropical layer).  The cap is checked at the first next()."""
     n, dim = rep.n, rep.dim
     pairs = sum(comb(n, dim[v] - 1) * comb(n, dim[v] + 1) for v in rep.vertices)
     check_walk("relation generation", pairs + _arrow_pairs(rep), "(I, J) pairs")
@@ -326,12 +316,9 @@ def all_relations(rep: QuiverRepresentation):
                for v in rep.vertices]
     sources += [("arrow", a_idx) + _arrow_relations(rep, a_idx, exp_scale)
                 for a_idx in range(len(rep.arrows))]
-    out = []
     seen_classical = {}  # monomial support -> classical relations kept
     seen_tropical = set()
-    caches = {}  # coefficient scale -> _convert's cache
     for kind, where, relations, coeff_scale in sources:
-        cache = caches.setdefault(coeff_scale, {})
         for i_set, j_set, terms in relations:
             if coeff_scale is not None:
                 bucket = seen_classical.setdefault(tuple(m for m, _ in terms), [])
@@ -343,17 +330,41 @@ def all_relations(rep: QuiverRepresentation):
                 if key in seen_tropical:
                     continue
                 seen_tropical.add(key)
-            classical, tropical = _convert(terms, exp_scale, coeff_scale, cache)
-            out.append(
-                {
-                    "kind": kind,
-                    "where": where,
-                    "I": i_set,
-                    "J": j_set,
-                    "classical": classical,
-                    "tropical": tropical,
-                }
-            )
+            yield kind, where, i_set, j_set, terms, exp_scale, coeff_scale
+
+
+def all_relations(rep: QuiverRepresentation):
+    """Every defining relation of the quiver Dressian: the vertex
+    Grassmann-Pluecker relations plus the per-arrow quiver Pluecker
+    relations, deduplicated (classically up to scalar, tropically up to a
+    projective shift).  Vacuous relations are never generated.
+
+    Relations are generated and compared over ints (_kept_relations), with
+    one exponent scale for the whole call, since relations of different
+    arrows and vertices are compared with each other; scaling is a
+    bijection, so both equivalences are unchanged.  Puiseux and tropical
+    objects are built only for the relations kept.
+
+    Returns a list of dicts with keys kind, where, I, J, classical,
+    tropical.  Raises CapacityError, before any matrix is scaled, when more
+    than RELATION_CAP (I, J) pairs would be walked: C(n, r-1) * C(n, r+1)
+    for a vertex of rank r, plus the pairs of every arrow (_arrow_pairs).
+    """
+    out = []
+    caches = {}  # coefficient scale -> _convert's cache
+    for kind, where, i_set, j_set, terms, exp_scale, coeff_scale in _kept_relations(rep):
+        classical, tropical = _convert(terms, exp_scale, coeff_scale,
+                                       caches.setdefault(coeff_scale, {}))
+        out.append(
+            {
+                "kind": kind,
+                "where": where,
+                "I": i_set,
+                "J": j_set,
+                "classical": classical,
+                "tropical": tropical,
+            }
+        )
     return out
 
 

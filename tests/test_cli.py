@@ -520,6 +520,17 @@ class TestErrors:
         code, out = run(capsys, "realize", write("a.json", [[big, "0"], ["0", big]]))
         assert code == 2 and "too large" in out["error"]
 
+    def test_oversized_rational_in_relations(self, write, capsys):
+        # the loop diag(1/10^4299, 1/(10^4299 - 1)) merges its two diagonal
+        # terms, both on p_1 p_2, into 1/L, L the lcm of the denominators,
+        # whose 8598 digits are past the int-to-str limit
+        big = 10 ** 4299
+        q = {"n": 2, "vertices": ["u"], "dim": {"u": 1}, "arrows": [
+            {"src": "u", "dst": "u",
+             "matrix_field": [["1/%d" % big, "0"], ["0", "1/%d" % (big - 1)]]}]}
+        code, out = run(capsys, "relations", write("q.json", q))
+        assert code == 2 and set(out) == {"command", "error"} and "too large" in out["error"]
+
     def test_oversized_rational_in_certificate(self, write, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_run_command", lambda args: (False, (Fraction(10) ** 4300,)))
         code, out = run(capsys, "check-matroid", write("m.json", UNIFORM_32))
@@ -570,8 +581,9 @@ class TestErrors:
         code, out = run(capsys, command, *[write(name + ".json", data) for name, data in files])
         assert code == 2 and out["error"] == message
 
-    # not in EXIT_2 either: a map's origin entry must fix the origin, and an
-    # arrow's tropical layer must be the valuation of its field layer
+    # not in EXIT_2 either: a map's origin entry must fix the origin, an
+    # arrow's tropical layer must be the valuation of its field layer, and a
+    # target is checked even where an infinite shift sends it to the origin
     @pytest.mark.parametrize("command,files,message", [
         ("induce", [("m", UNIFORM_32), ("f", {"n": 3, "f": [
             {"i": i, "to": i, "shift": "0"} for i in (1, 2, 3)] + [
@@ -583,7 +595,10 @@ class TestErrors:
             {"src": "u", "dst": "w", "matrix_field": [["1", "0"], ["0", [{"c": "1", "e": "1/2"}]]],
              "matrix_trop": [["0", "inf"], ["inf", "1"]]}]))],
          "is not the valuation of its field layer"),
-    ], ids=["origin-moved", "origin-shifted", "two-layers"])
+        ("induce", [("m", UNIFORM_32), ("f", {"n": 3, "f": [
+            {"i": 1, "to": 1, "shift": "0"}, {"i": 2, "to": 99, "shift": "inf"},
+            {"i": 3, "to": 3, "shift": "0"}]})], "target 99 outside [1..3]"),
+    ], ids=["origin-moved", "origin-shifted", "two-layers", "infinite-shift-target"])
     def test_origin_entry_and_arrow_layers(self, write, capsys, command, files, message):
         code, out = run(capsys, command, *[write(name + ".json", data) for name, data in files])
         assert code == 2 and set(out) == {"command", "error"} and message in out["error"]
