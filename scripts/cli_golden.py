@@ -29,7 +29,10 @@ checkout's src/ gives that version's digest.  Everything runs in process:
   shift, on a field arrow with rational entries, on two parallel arrows
   whose relations dedupe against each other, on a quiver without
   relations, and on a loop whose merged coefficient is past the int-to-str
-  digit limit, which exits 2 (relation_inputs).
+  digit limit, which exits 2 (relation_inputs);
+- qgr-witness-check on quivers with two arrows into one vertex, a loop, a
+  vertex that no arrow touches, a rank-deficient witness, and a tropical
+  arrow behind a rejecting field arrow (witness_inputs).
 
 Each output enters the hash as the exact text the command wrote, with
 two edits: the value of elapsed_ms is masked and input paths are reduced
@@ -58,7 +61,14 @@ import generators as gen  # noqa: E402
 from test_cli import EXIT_2, SPARSE_12, USAGE_ARGVS  # noqa: E402
 from test_minor_reference import rational_matrix  # noqa: E402
 from tropquiver import cli  # noqa: E402
-from tropquiver.puiseux import FieldMatrix, pluecker_valuations, rank_via_minors  # noqa: E402
+from tropquiver.matroid import tls_equal  # noqa: E402
+from tropquiver.puiseux import (  # noqa: E402
+    FieldMatrix,
+    PuiseuxElement,
+    classical_containment,
+    pluecker_valuations,
+    rank_via_minors,
+)
 from workloads import build_cli_mixed  # noqa: E402
 
 
@@ -298,6 +308,100 @@ def relation_inputs():
         ("no_relations", NO_RELATIONS), ("big_loop", BIG_LOOP)]]
 
 
+def _full_rank(rng, d, n):
+    """A rational d x n matrix of full row rank."""
+    while True:
+        m = rational_matrix(rng, d, n)
+        if rank_via_minors(m) == d:
+            return m
+
+
+def _witness_case(name, n, arrows, dim, witness, mus=None):
+    """A qgr-witness-check input: arrows are (src, dst, field matrix or
+    None, tropical rows or None), and mus defaults to the witness's own
+    Pluecker valuations."""
+    if mus is None:
+        mus = {v: pluecker_valuations(m) for v, m in witness.items()}
+    quiver = {"n": n, "vertices": list(dim), "dim": dim, "arrows": [
+        dict({"src": s, "dst": d},
+             **({} if a is None else {"matrix_field": gen.enc_field(a)}),
+             **({} if t is None else {"matrix_trop": t}))
+        for s, d, a, t in arrows]}
+    tup = {v: gen.enc_matroid(n, m.r, gen.table(m)) for v, m in mus.items()}
+    return ("qgr-witness-check", [(name, quiver), (name + "_tuple", tup),
+                                  (name + "_witness", {v: gen.enc_field(m)
+                                                       for v, m in witness.items()})])
+
+
+def witness_inputs():
+    """qgr-witness-check on rational data, n = 4 unless said otherwise:
+    - two arrows u -> w and x -> w, ranks (1, 1, 2): a witness that is
+      accepted, one rejected at arrow 1 (arrow 0 contained), and one whose
+      tuple differs at x, the second vertex (valuation-mismatch);
+    - a loop A at a rank-2 vertex with A^2 = 0 and the witness [v; A·v],
+      accepted, and with its second row replaced, rejected;
+    - u -> w with a vertex z that no arrow touches, ranks (1, 2, 2), n = 3:
+      accepted, and with z = [[1, 0, 0], [2, 0, 0]], rank-deficient (exit 2);
+    - a rank-deficient source of rank 2 (exit 2);
+    - a field arrow that rejects, then an arrow with a tropical layer only:
+      the check stops at arrow 0 (exit 1)."""
+    rng = random.Random("cli_golden:witness")
+    n = 4
+    a, b = rational_matrix(rng, n, n), rational_matrix(rng, n, n)
+    while True:
+        u, x = _full_rank(rng, 1, n), _full_rank(rng, 1, n)
+        w = FieldMatrix([a.matvec(u.rows[0]), b.matvec(x.rows[0])])
+        w_bad = FieldMatrix([a.matvec(u.rows[0])] + list(rational_matrix(rng, 1, n).rows))
+        other_x = _full_rank(rng, 1, n)
+        if (rank_via_minors(w) == rank_via_minors(w_bad) == 2
+                and not classical_containment(b, x, w_bad)
+                and not tls_equal(pluecker_valuations(x), pluecker_valuations(other_x))):
+            break
+    two = [("u", "w", a, None), ("x", "w", b, None)]
+    dim = {"u": 1, "x": 1, "w": 2}
+    mismatch = {"u": pluecker_valuations(u), "x": pluecker_valuations(other_x),
+                "w": pluecker_valuations(w)}
+
+    t = PuiseuxElement.monomial
+    nil = FieldMatrix([[0] * n, [t(Fraction(3, 2), Fraction(1, 3))] + [0] * (n - 1),
+                       [t(-2, Fraction(1, 2))] + [0] * (n - 1), [0] * n])  # nil^2 = 0
+    first = _full_rank(rng, 1, n).rows[0]
+    loop = FieldMatrix([first, nil.matvec(first)])
+    loop_bad = FieldMatrix([first] + list(rational_matrix(rng, 1, n).rows))
+    assert rank_via_minors(loop) == rank_via_minors(loop_bad) == 2
+    assert not classical_containment(nil, loop_bad, loop_bad)
+
+    c = rational_matrix(rng, 3, 3)
+    while True:
+        u3 = _full_rank(rng, 1, 3)
+        w3 = FieldMatrix([c.matvec(u3.rows[0])] + list(rational_matrix(rng, 1, 3).rows))
+        if rank_via_minors(w3) == 2:
+            break
+    z = _full_rank(rng, 2, 3)
+    isolated = [("u", "w", c, None)]
+    dim3 = {"u": 1, "w": 2, "z": 2}
+    flat_z = FieldMatrix([[1, 0, 0], [2, 0, 0]])
+    deficient = FieldMatrix([u.rows[0], [2 * e for e in u.rows[0]]])
+    trop_only = [["0" if i == j else "inf" for j in range(n)] for i in range(n)]
+    return [
+        _witness_case("two_arrows", n, two, dim, {"u": u, "x": x, "w": w}),
+        _witness_case("two_arrows_bad", n, two, dim, {"u": u, "x": x, "w": w_bad}),
+        _witness_case("two_arrows_mismatch", n, two, dim, {"u": u, "x": x, "w": w}, mismatch),
+        _witness_case("loop", n, [("v", "v", nil, None)], {"v": 2}, {"v": loop}),
+        _witness_case("loop_bad", n, [("v", "v", nil, None)], {"v": 2}, {"v": loop_bad}),
+        _witness_case("isolated", 3, isolated, dim3, {"u": u3, "w": w3, "z": z}),
+        _witness_case("isolated_deficient", 3, isolated, dim3, {"u": u3, "w": w3, "z": flat_z},
+                      {"u": pluecker_valuations(u3), "w": pluecker_valuations(w3),
+                       "z": pluecker_valuations(z)}),
+        _witness_case("deficient_source", n, [("u", "w", a, None)], {"u": 2, "w": 2},
+                      {"u": deficient, "w": w}, {"u": pluecker_valuations(w),
+                                                 "w": pluecker_valuations(w)}),
+        _witness_case("field_then_trop", n, [("u", "w", b, None), ("u", "w", None, trop_only)],
+                      {"u": 1, "w": 2}, {"u": x, "w": w_bad},
+                      {"u": pluecker_valuations(x), "w": pluecker_valuations(w_bad)}),
+    ]
+
+
 _ELAPSED = re.compile(r'"elapsed_ms": [^,\n]*')
 
 
@@ -350,7 +454,7 @@ def records(seeds):
                   ("check-matroid", [("missing", None)])] + OVER_CAP
         inputs += [(command, files) for command, files, _ in EXIT_2]
         for command, files in (inputs + exchange_inputs() + rational_inputs() + mixed_scale_inputs()
-                               + loop_inputs() + relation_inputs()):
+                               + loop_inputs() + relation_inputs() + witness_inputs()):
             argv = command.split()
             for name, data in files:
                 argv.append(os.path.join(directory, name + ".json"))
