@@ -9,11 +9,13 @@ exponent denominators and each row's coefficients by the lcm of that row's
 denominators, so a minor is an {int: int} map equal to the true minor times
 the product L of the row scales, with exponents times N.  A determinant is
 converted back exactly (exponents over N, coefficients over L); a Pluecker
-valuation is the least scaled exponent over N.  Containment scales A, U and V
-with one N and puts each image row A*u on top of V's rows, so V's subminors
-are computed once per call and shared by every image row.  A matrix-vector
-product also runs on scaled integers and is converted back once per output
-term.  The valuation of an element is its least exponent; zero has valuation
+valuation is the least scaled exponent over N.  A memo, keyed by columns,
+holds the minors of one matrix's bottom rows, maximal ones included.  The
+containment kernel puts each image row A*u on top of V's rows, so V's minors
+are expanded once per memo and shared by every image row; the witness check
+keeps one memo per vertex for all its arrows and its Pluecker valuations.  A
+matrix-vector product also runs on scaled integers and is converted back
+once per output term.  The valuation of an element is its least exponent; zero has valuation
 infinity.  FieldMatrix shares trop's matrix base with TropMatrix and gives
 val(A)'s finite entries without building a TropValue.
 """
@@ -237,12 +239,16 @@ def _expand(rows, memo, cols):
 
 def _minors(rows, n_cols, memo=None):
     """(cols, minor) for each len(rows)-subset of columns in combinations
-    order, where minor is the scaled maximal minor as _expand returns it.
-    Maximal minors are not memoized; memo defaults to a fresh one."""
+    order, where minor is the scaled maximal minor as _expand returns it,
+    looked up in memo or expanded and stored there: rows must be all the
+    rows its keys name.  memo defaults to a fresh one."""
     if memo is None:
         memo = {(): {0: 1}}
-    return ((cols, _expand(rows, memo, cols))
-            for cols in combinations(range(n_cols), len(rows)))
+    for cols in combinations(range(n_cols), len(rows)):
+        minor = memo.get(cols)
+        if minor is None:
+            minor = memo[cols] = _expand(rows, memo, cols)
+        yield cols, minor
 
 
 def _full_row_rank(rows, n_cols, memo=None) -> bool:
@@ -251,31 +257,17 @@ def _full_row_rank(rows, n_cols, memo=None) -> bool:
     return any(minor for _, minor in _minors(rows, n_cols, memo))
 
 
-def _maximal_minors(m: FieldMatrix):
-    """Every maximal minor of m, by one Laplace expansion along the rows
-    over lcm-scaled integers.
-
-    Returns (N, L, minors): N as _scaled returns it, L the product of the
-    row scales, and minors yields (cols, minor) for each n_rows-subset of
-    columns in combinations order, where minor is an {int exponent: int
-    coefficient} dict, without zero coefficients, equal to L times the true
-    minor with its exponents times N.  Proper subminors (the bottom rows on
-    some columns) are computed once.  The size cap is checked before
-    anything is scaled."""
-    _check_cap(m.n_rows, m.n_cols)
-    exp_scale, rows, scales = _scaled(m.rows)
-    return exp_scale, prod(scales), _minors(rows, m.n_cols)
-
-
 def det(m: FieldMatrix) -> PuiseuxElement:
-    """Exact determinant by Laplace expansion (division-free)."""
+    """Exact determinant by Laplace expansion (division-free), over the
+    scaled rows: the scaled minor is L times the true one, L the product of
+    the row scales, with its exponents times N."""
     if m.n_rows != m.n_cols:
         raise ShapeError("determinant needs a square matrix")
-    exp_scale, coeff_scale, minors = _maximal_minors(m)
-    _, minor = next(minors)
-    return PuiseuxElement(
-        {Fraction(e, exp_scale): Fraction(c, coeff_scale) for e, c in minor.items()}
-    )
+    _check_cap(m.n_rows, m.n_cols)
+    exp_scale, rows, scales = _scaled(m.rows)
+    coeff_scale = prod(scales)
+    return PuiseuxElement({Fraction(e, exp_scale): Fraction(c, coeff_scale)
+                           for e, c in _expand(rows, {(): {0: 1}}, tuple(range(m.n_cols))).items()})
 
 
 def rank_via_minors(m: FieldMatrix) -> int:
@@ -293,46 +285,59 @@ def rank_via_minors(m: FieldMatrix) -> int:
 def pluecker_valuations(m: FieldMatrix):
     """Valuated matroid of the row span: subset I of columns maps to the
     valuation of the corresponding maximal minor.  Requires full row rank."""
-    d, n = m.n_rows, m.n_cols
-    if d > n:
+    exp_scale, rows, _ = _scaled(m.rows)
+    return _valuations(rows, m.n_cols, exp_scale)
+
+
+def _valuations(rows, n_cols, exp_scale, memo=None):
+    """pluecker_valuations of rows scaled with exponent scale N: a minor's
+    valuation is its least exponent over N.  Its maximal minors come from
+    memo, or are expanded there (_minors)."""
+    if len(rows) > n_cols:
         raise NotARealizationError("more rows than columns")
-    exp_scale, _, minors = _maximal_minors(m)
-    values = {
-        tuple(c + 1 for c in cols): Fraction(min(minor), exp_scale)
-        for cols, minor in minors
-        if minor
-    }
+    _check_cap(len(rows), n_cols)
+    values = {tuple(c + 1 for c in cols): Fraction(min(minor), exp_scale)
+              for cols, minor in _minors(rows, n_cols, memo) if minor}
     if not values:
         raise NotARealizationError("matrix is not of full row rank")
-    return ValuatedMatroid(n, d, values)
+    return ValuatedMatroid(n_cols, len(rows), values)
 
 
 def classical_containment(a: FieldMatrix, u: FieldMatrix, v: FieldMatrix) -> bool:
     """Is A * rowspan(U) contained in rowspan(V)?  U and V must have full
     row rank; A*u is in rowspan(V) iff [A*u; V] lacks full row rank.
 
-    A, U and V are scaled once, with one exponent scale.  Each image row goes
-    on top of V's scaled rows and the minors are expanded along it with one
-    memo: its keys of at most s = V.n_rows columns name V's bottom rows
-    whether the image is there or not, so V's subminors are computed once
-    per call and each (s+1)-minor costs s+1 products.  The checks run in
-    this order: the cap of U, U's rank, the cap of V, V's rank, the cap of
-    the stacked (s+1) x n shape."""
+    A, U and V are scaled once, with one exponent scale, A as one row, and
+    handed to _contained with a fresh memo each."""
     if a.n_cols != u.n_cols:
         raise ShapeError("A has %d columns, U vectors have length %d"
                          % (a.n_cols, u.n_cols))
     if a.n_rows != v.n_cols:
         raise ShapeError("A maps into length %d, V vectors have length %d"
                          % (a.n_rows, v.n_cols))
-    _check_cap(u.n_rows, u.n_cols)
     _, (flat, *rows), _ = _scaled([[x for row in a.rows for x in row], *u.rows, *v.rows])
-    u_rows, v_rows = rows[: u.n_rows], rows[u.n_rows :]
-    if not _full_row_rank(u_rows, u.n_cols):
+    return _contained(flat, rows[: u.n_rows], {(): {0: 1}}, rows[u.n_rows :], {(): {0: 1}})
+
+
+def _contained(flat, u_rows, u_memo, v_rows, v_memo):
+    """classical_containment on scaled rows, A's entries flat in one row,
+    with a minor memo for U's rows and one for V's (the same memo if U is
+    V).  Each image row goes on top of V's rows and the (s+1)-minors are
+    expanded along it with V's memo: its keys of at most s = len(v_rows)
+    columns name V's bottom rows whether the image is there or not, so V's
+    minors are expanded once per memo and each (s+1)-minor costs s+1
+    products.  The checks run in this order: the cap of U, U's rank, the
+    cap of V, V's rank, the cap of the stacked (s+1) x n shape."""
+    n_u, n_v = len(u_rows[0]), len(v_rows[0])
+    _check_cap(len(u_rows), n_u)
+    if not _full_row_rank(u_rows, n_u, u_memo):
         raise UsageError("U and V must have full row rank")
-    _check_cap(v.n_rows, v.n_cols)
-    memo = {(): {0: 1}}
-    if not _full_row_rank(v_rows, v.n_cols, memo):
+    _check_cap(len(v_rows), n_v)
+    if not _full_row_rank(v_rows, n_v, v_memo):
         raise UsageError("U and V must have full row rank")
-    _check_cap(v.n_rows + 1, v.n_cols)
-    return not any(_full_row_rank([_image(flat, a.n_cols, row)] + v_rows, v.n_cols, memo)
-                   for row in u_rows)
+    _check_cap(len(v_rows) + 1, n_v)
+    for row in u_rows:
+        stacked = [_image(flat, n_u, row)] + v_rows
+        if any(_expand(stacked, v_memo, cols) for cols in combinations(range(n_v), len(stacked))):
+            return False
+    return True

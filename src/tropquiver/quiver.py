@@ -24,6 +24,10 @@ count every term, containment (matroid.containment_check, imported here)
 each target index i once.  Between two distinct vertices no two terms
 merge, since the monomial p_{I+j} q_{J-i} fixes both j and i; loops,
 whose terms can share a monomial, are valued on the merged int relations.
+
+The witness check scales the witness and the arrows' field layers once,
+with one exponent scale, and keeps one minor memo per vertex: every arrow
+that touches a vertex and its Pluecker valuations read the same memo.
 """
 
 from __future__ import annotations
@@ -47,13 +51,7 @@ from .matroid import (
     quotient_check,
     tls_equal,
 )
-from .puiseux import (
-    FieldMatrix,
-    PuiseuxElement,
-    classical_containment,
-    pluecker_valuations,
-    valuation,
-)
+from .puiseux import FieldMatrix, PuiseuxElement, _contained, _scaled, _valuations, valuation
 from .trop import TropMatrix, TropPolynomial, TropValue
 
 
@@ -472,6 +470,18 @@ def is_subrepresentation(rep: QuiverRepresentation, candidate):
     candidate maps each vertex to a full-row-rank d_i x n field matrix.
     Returns (bool, violating_arrow_index or None).
     """
+    a_idx, _, _ = _arrow_failure(rep, candidate)
+    return a_idx is None, a_idx
+
+
+def _arrow_failure(rep: QuiverRepresentation, candidate):
+    """is_subrepresentation on one scaling: the candidate's shapes, then
+    puiseux._contained per arrow in order, each arrow's field layer fetched
+    on its turn.  The candidate and the field layers, each flat in one row,
+    are scaled once, with one exponent scale N, and each vertex keeps one
+    minor memo, so its minors are expanded once however many arrows touch
+    it.  Returns (the first arrow not contained or None, N, {vertex: (rows,
+    memo)})."""
     if set(candidate) != set(rep.vertices):
         raise UsageError("candidate must be keyed by exactly the vertices")
     for v in rep.vertices:
@@ -480,26 +490,34 @@ def is_subrepresentation(rep: QuiverRepresentation, candidate):
             raise UsageError(
                 "candidate at %r must be %dx%d" % (v, rep.dim[v], rep.n)
             )
+    fields = {a_idx: a.field for a_idx, a in enumerate(rep.arrows) if a.field is not None}
+    exp_scale, rows, _ = _scaled([[x for row in a.rows for x in row] for a in fields.values()]
+                                 + [row for v in rep.vertices for row in candidate[v].rows])
+    flats, rows, scaled = dict(zip(fields, rows)), rows[len(fields) :], {}
+    for v in rep.vertices:
+        scaled[v], rows = (rows[: rep.dim[v]], {(): {0: 1}}), rows[rep.dim[v] :]
     for a_idx, arrow in enumerate(rep.arrows):
-        if not classical_containment(
-            rep.field_matrix(a_idx), candidate[arrow.src], candidate[arrow.dst]
-        ):
-            return False, a_idx
-    return True, None
+        rep.field_matrix(a_idx)  # raises UsageError if the arrow has no field layer
+        if not _contained(flats[a_idx], *scaled[arrow.src], *scaled[arrow.dst]):
+            return a_idx, exp_scale, scaled
+    return None, exp_scale, scaled
 
 
 def trop_qgr_witness_check(rep: QuiverRepresentation, mus, witness):
     """Does the witness certify the matroid tuple as a point of the
     tropicalized quiver Grassmannian?  The witness must be a quiver
     subrepresentation whose Pluecker valuations reproduce each matroid
-    projectively.  Returns (bool, certificate)."""
+    projectively.  Returns (bool, certificate).
+
+    The arrows are checked on _arrow_failure's scaling; each vertex's
+    valuations are then read off its memo, where a target's maximal minors
+    already are, as subminors of its stacked images."""
     _validate_tuple(rep, mus)
-    ok, a_idx = is_subrepresentation(rep, witness)
-    if not ok:
+    a_idx, exp_scale, scaled = _arrow_failure(rep, witness)
+    if a_idx is not None:
         return False, ("subrepresentation", a_idx)
     for v in rep.vertices:
-        realized = pluecker_valuations(witness[v])
-        if not tls_equal(realized, mus[v]):
+        if not tls_equal(_valuations(scaled[v][0], rep.n, exp_scale, scaled[v][1]), mus[v]):
             return False, ("valuation-mismatch", v)
     return True, None
 

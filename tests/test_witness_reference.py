@@ -8,7 +8,9 @@ or raise the same exception class with the same message, on every input.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 from tropquiver import (
     FieldMatrix,
@@ -22,6 +24,7 @@ from tropquiver import (
     tls_equal,
     trop_qgr_witness_check as lib_trop_qgr_witness_check,
 )
+from tropquiver import puiseux
 from tropquiver.errors import TropquiverError, UsageError
 from tropquiver.puiseux import ZERO, classical_containment, rank_via_minors
 from tropquiver.quiver import _validate_tuple
@@ -199,3 +202,43 @@ def test_candidate_shape_errors_match_reference():
         got = outcome(lib_trop_qgr_witness_check, rep, mus, witness)
         assert got == outcome(trop_qgr_witness_check, rep, mus, witness)
         assert got[:2] == ("raise", UsageError)
+
+
+def test_each_minor_is_expanded_once_per_witness_check(monkeypatch):
+    """Structural, not timed: with arrows u -> w and x -> w, no minor of
+    any vertex's rows (keyed by those rows' values and its columns) is
+    expanded twice in one accepted witness check, though w is the target
+    of two containments and has its valuations taken.  Integer exponents
+    and coefficients keep every scale 1, so equal rows have equal keys
+    however often they are scaled."""
+    rng = random.Random(20241021)
+
+    def positive():
+        return PuiseuxElement({rng.randint(0, 3): rng.randint(1, 4)})
+
+    n = 5
+    a, b = ([[positive() for _ in range(n)] for _ in range(n)] for _ in range(2))
+    a, b = FieldMatrix(a), FieldMatrix(b)
+    u, x = FieldMatrix([[positive() for _ in range(n)]]), FieldMatrix([[positive() for _ in range(n)]])
+    w = FieldMatrix([a.matvec(u.rows[0]), b.matvec(x.rows[0]), [positive() for _ in range(n)]])
+    assert rank_via_minors(w) == 3
+    rep = QuiverRepresentation(n, ["u", "x", "w"], [RepArrow("u", "w", field=a),
+                                                    RepArrow("x", "w", field=b)],
+                               {"u": 1, "x": 1, "w": 3})
+    witness = {"u": u, "x": x, "w": w}
+    mus = {v: pluecker_valuations(m) for v, m in witness.items()}
+    keys = []
+    expand = puiseux._expand
+
+    def counted(rows, memo, cols):
+        bottom = rows[len(rows) - len(cols):]
+        keys.append((tuple(tuple(tuple(sorted(x.items())) for x in r) for r in bottom), cols))
+        return expand(rows, memo, cols)
+
+    monkeypatch.setattr(puiseux, "_expand", counted)
+    assert lib_trop_qgr_witness_check(rep, mus, witness) == (True, None)
+    monkeypatch.setattr(puiseux, "_expand", expand)
+    counts = Counter(keys)
+    maximal = [k for k in counts if len(k[0]) == 3 and len(k[1]) == 3]
+    assert len(maximal) == comb(n, 3)  # every maximal minor of w was asked for
+    assert max(counts.values()) == 1, [k[1] for k, c in counts.items() if c > 1]
