@@ -257,6 +257,13 @@ def _full_row_rank(rows, n_cols, memo=None) -> bool:
     return any(minor for _, minor in _minors(rows, n_cols, memo))
 
 
+def _check_rank(rows, memo, message):
+    """The cap of the scaled rows, then UsageError(message) unless of full row rank."""
+    _check_cap(len(rows), len(rows[0]))
+    if not _full_row_rank(rows, len(rows[0]), memo):
+        raise UsageError(message)
+
+
 def det(m: FieldMatrix) -> PuiseuxElement:
     """Exact determinant by Laplace expansion (division-free), over the
     scaled rows: the scaled minor is L times the true one, L the product of
@@ -266,8 +273,9 @@ def det(m: FieldMatrix) -> PuiseuxElement:
     _check_cap(m.n_rows, m.n_cols)
     exp_scale, rows, scales = _scaled(m.rows)
     coeff_scale = prod(scales)
+    minor = _expand(rows, {(): {0: 1}}, tuple(range(m.n_cols)))
     return PuiseuxElement({Fraction(e, exp_scale): Fraction(c, coeff_scale)
-                           for e, c in _expand(rows, {(): {0: 1}}, tuple(range(m.n_cols))).items()})
+                           for e, c in minor.items()})
 
 
 def rank_via_minors(m: FieldMatrix) -> int:
@@ -329,12 +337,8 @@ def _contained(flat, u_rows, u_memo, v_rows, v_memo):
     products.  The checks run in this order: the cap of U, U's rank, the
     cap of V, V's rank, the cap of the stacked (s+1) x n shape."""
     n_u, n_v = len(u_rows[0]), len(v_rows[0])
-    _check_cap(len(u_rows), n_u)
-    if not _full_row_rank(u_rows, n_u, u_memo):
-        raise UsageError("U and V must have full row rank")
-    _check_cap(len(v_rows), n_v)
-    if not _full_row_rank(v_rows, n_v, v_memo):
-        raise UsageError("U and V must have full row rank")
+    _check_rank(u_rows, u_memo, "U and V must have full row rank")
+    _check_rank(v_rows, v_memo, "U and V must have full row rank")
     _check_cap(len(v_rows) + 1, n_v)
     for row in u_rows:
         stacked = [_image(flat, n_u, row)] + v_rows

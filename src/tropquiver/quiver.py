@@ -51,7 +51,8 @@ from .matroid import (
     quotient_check,
     tls_equal,
 )
-from .puiseux import FieldMatrix, PuiseuxElement, _contained, _scaled, _valuations, valuation
+from .puiseux import (FieldMatrix, PuiseuxElement, _check_rank, _contained, _scaled,
+                      _valuations, valuation)
 from .trop import TropMatrix, TropPolynomial, TropValue
 
 
@@ -467,7 +468,8 @@ def qdr_cross_check(rep: QuiverRepresentation, mus):
 def is_subrepresentation(rep: QuiverRepresentation, candidate):
     """Do the candidate row spans form a quiver subrepresentation?
 
-    candidate maps each vertex to a full-row-rank d_i x n field matrix.
+    candidate maps each vertex to a full-row-rank d_i x n field matrix
+    (else UsageError, at a vertex no arrow touches after the arrows).
     Returns (bool, violating_arrow_index or None).
     """
     a_idx, _, _ = _arrow_failure(rep, candidate)
@@ -475,13 +477,11 @@ def is_subrepresentation(rep: QuiverRepresentation, candidate):
 
 
 def _arrow_failure(rep: QuiverRepresentation, candidate):
-    """is_subrepresentation on one scaling: the candidate's shapes, then
-    puiseux._contained per arrow in order, each arrow's field layer fetched
-    on its turn.  The candidate and the field layers, each flat in one row,
-    are scaled once, with one exponent scale N, and each vertex keeps one
-    minor memo, so its minors are expanded once however many arrows touch
-    it.  Returns (the first arrow not contained or None, N, {vertex: (rows,
-    memo)})."""
+    """is_subrepresentation's checks in order (shapes, each arrow's
+    containment, each vertex's rank) on one scaling of the candidate and
+    the field layers, with one exponent scale N and one minor memo per
+    vertex.  Returns (the first arrow not contained or None, N,
+    {vertex: (rows, memo)})."""
     if set(candidate) != set(rep.vertices):
         raise UsageError("candidate must be keyed by exactly the vertices")
     for v in rep.vertices:
@@ -500,6 +500,8 @@ def _arrow_failure(rep: QuiverRepresentation, candidate):
         rep.field_matrix(a_idx)  # raises UsageError if the arrow has no field layer
         if not _contained(flats[a_idx], *scaled[arrow.src], *scaled[arrow.dst]):
             return a_idx, exp_scale, scaled
+    for v in rep.vertices:
+        _check_rank(*scaled[v], "candidate at %r must have full row rank" % (v,))
     return None, exp_scale, scaled
 
 

@@ -4,7 +4,12 @@
 former versions, kept verbatim: one ``classical_containment`` per arrow,
 then one ``pluecker_valuations`` per vertex, each scaling and expanding its
 matrices anew.  The library must return the same verdict and certificate,
-or raise the same exception class with the same message, on every input.
+or raise the same exception class with the same message, on every input,
+with one deliberate difference: the reference accepts a candidate without
+full row rank at a vertex that no arrow touches (is_subrepresentation) or
+rejects it only when its valuations are taken (the witness check), where
+the library, once every arrow is contained, checks each vertex's rank as it
+does at an arrow's end (rank_check below).
 """
 
 import random
@@ -68,6 +73,14 @@ def trop_qgr_witness_check(rep: QuiverRepresentation, mus, witness):
         if not tls_equal(realized, mus[v]):
             return False, ("valuation-mismatch", v)
     return True, None
+
+
+def rank_check(rep, candidate):
+    """What the library checks after the arrows: the cap and the rank of
+    every vertex's candidate, in vertex order."""
+    for v in rep.vertices:
+        if rank_via_minors(candidate[v]) < rep.dim[v]:
+            raise UsageError("candidate at %r must have full row rank" % (v,))
 
 
 def outcome(f, *args):
@@ -168,9 +181,15 @@ def test_witness_check_matches_reference():
     for _ in range(600):
         rep, mus, witness, kinds = random_witness_instance(rng)
         got = outcome(lib_trop_qgr_witness_check, rep, mus, witness)
-        assert got == outcome(trop_qgr_witness_check, rep, mus, witness), (rep, witness)
-        assert (outcome(lib_is_subrepresentation, rep, witness)
-                == outcome(is_subrepresentation, rep, witness)), (rep, witness)
+        subrep = outcome(lib_is_subrepresentation, rep, witness)
+        late = outcome(rank_check, rep, witness)
+        if outcome(is_subrepresentation, rep, witness) == ("ok", (True, None)) and late[0] == "raise":
+            assert outcome(_validate_tuple, rep, mus) == ("ok", None)
+            assert got == subrep == late, (rep, witness)
+            kinds.add("raised after the arrows")
+        else:
+            assert got == outcome(trop_qgr_witness_check, rep, mus, witness), (rep, witness)
+            assert subrep == outcome(is_subrepresentation, rep, witness), (rep, witness)
         seen |= kinds
         if got[0] == "raise":
             seen.add(got[2].split(" ")[0] if "cap" not in got[2] else "cap")
@@ -182,7 +201,7 @@ def test_witness_check_matches_reference():
             if ok and kinds & {"loop", "several arrows", "isolated vertex"}:
                 seen |= {"accepted with " + k for k in kinds}
     expected = {"accepted", "subrepresentation", "later arrow rejects", "valuation-mismatch",
-                "U", "matrix", "arrow", "cap", "loop", "several arrows", "isolated vertex",
+                "U", "candidate", "arrow", "cap", "loop", "raised after the arrows", "several arrows", "isolated vertex",
                 "rank-deficient witness", "tropical arrow", "swapped tuple",
                 "accepted with loop", "accepted with several arrows",
                 "accepted with isolated vertex"}
@@ -242,3 +261,23 @@ def test_each_minor_is_expanded_once_per_witness_check(monkeypatch):
     maximal = [k for k in counts if len(k[0]) == 3 and len(k[1]) == 3]
     assert len(maximal) == comb(n, 3)  # every maximal minor of w was asked for
     assert max(counts.values()) == 1, [k[1] for k, c in counts.items() if c > 1]
+
+
+def test_rank_deficient_vertex_without_arrows_is_rejected():
+    """dims (1, 2, 2), u -> w, and x = [[1, 0, 0], [2, 0, 0]] at the vertex
+    that no arrow touches: UsageError, as at an arrow's end, where the
+    reference accepted; an arrow that rejects still comes first."""
+    rep = QuiverRepresentation(3, ["u", "w", "x"], [RepArrow("u", "w", field=FieldMatrix.identity(3))],
+                               {"u": 1, "w": 2, "x": 2})
+    w, x = FieldMatrix([[1, 0, 0], [0, 1, 0]]), FieldMatrix([[1, 0, 0], [2, 0, 0]])
+    mus = {"u": pluecker_valuations(FieldMatrix([[1, 0, 0]])), "w": pluecker_valuations(w),
+           "x": pluecker_valuations(w)}
+    inside = {"u": FieldMatrix([[1, 0, 0]]), "w": w, "x": x}
+    raised = ("raise", UsageError, "candidate at 'x' must have full row rank")
+    assert outcome(is_subrepresentation, rep, inside) == ("ok", (True, None))
+    assert outcome(lib_is_subrepresentation, rep, inside) == raised
+    assert outcome(lib_trop_qgr_witness_check, rep, mus, inside) == raised
+    outside = dict(inside, u=FieldMatrix([[0, 0, 1]]))
+    assert outcome(lib_is_subrepresentation, rep, outside) == ("ok", (False, 0))
+    assert (outcome(lib_trop_qgr_witness_check, rep, mus, outside)
+            == ("ok", (False, ("subrepresentation", 0))))
