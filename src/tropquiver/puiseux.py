@@ -265,9 +265,7 @@ def _check_rank(rows, memo, message):
 
 
 def det(m: FieldMatrix) -> PuiseuxElement:
-    """Exact determinant by Laplace expansion (division-free), over the
-    scaled rows: the scaled minor is L times the true one, L the product of
-    the row scales, with its exponents times N."""
+    """Exact determinant by Laplace expansion (division-free)."""
     if m.n_rows != m.n_cols:
         raise ShapeError("determinant needs a square matrix")
     _check_cap(m.n_rows, m.n_cols)
@@ -315,25 +313,36 @@ def classical_containment(a: FieldMatrix, u: FieldMatrix, v: FieldMatrix) -> boo
     """Is A * rowspan(U) contained in rowspan(V)?  U and V must have full
     row rank; A*u is in rowspan(V) iff [A*u; V] lacks full row rank.
 
-    A, U and V are scaled once, with one exponent scale, A as one row, and
-    handed to _contained with a fresh memo each."""
+    A, U and V are scaled once (_scaled_system) and handed to _contained."""
     if a.n_cols != u.n_cols:
         raise ShapeError("A has %d columns, U vectors have length %d"
                          % (a.n_cols, u.n_cols))
     if a.n_rows != v.n_cols:
         raise ShapeError("A maps into length %d, V vectors have length %d"
                          % (a.n_rows, v.n_cols))
-    _, (flat, *rows), _ = _scaled([[x for row in a.rows for x in row], *u.rows, *v.rows])
-    return _contained(flat, rows[: u.n_rows], {(): {0: 1}}, rows[u.n_rows :], {(): {0: 1}})
+    _, (flat,), (u_scaled, v_scaled) = _scaled_system([a], [u, v])
+    return _contained(flat, *u_scaled, *v_scaled)
+
+
+def _scaled_system(maps, matrices):
+    """Field matrices scaled once with one exponent scale N: each of maps
+    flat in one row, for _image, and each of matrices as its rows with a
+    fresh minor memo.  Returns (N, flats, [(rows, memo)])."""
+    exp_scale, rows, _ = _scaled([[x for row in a.rows for x in row] for a in maps]
+                                 + [row for m in matrices for row in m.rows])
+    flats, rows, scaled = rows[: len(maps)], rows[len(maps) :], []
+    for m in matrices:
+        scaled.append((rows[: m.n_rows], {(): {0: 1}}))
+        rows = rows[m.n_rows :]
+    return exp_scale, flats, scaled
 
 
 def _contained(flat, u_rows, u_memo, v_rows, v_memo):
-    """classical_containment on scaled rows, A's entries flat in one row,
-    with a minor memo for U's rows and one for V's (the same memo if U is
-    V).  Each image row goes on top of V's rows and the (s+1)-minors are
-    expanded along it with V's memo: its keys of at most s = len(v_rows)
-    columns name V's bottom rows whether the image is there or not, so V's
-    minors are expanded once per memo and each (s+1)-minor costs s+1
+    """classical_containment on a _scaled_system: A flat, U and V with
+    their memos (one memo if U is V).  Each image row goes on top of V's
+    rows and the (s+1)-minors are expanded along it with V's memo, whose
+    keys of at most s = len(v_rows) columns name V's bottom rows either way,
+    so V's minors are expanded once per memo and each (s+1)-minor costs s+1
     products.  The checks run in this order: the cap of U, U's rank, the
     cap of V, V's rank, the cap of the stacked (s+1) x n shape."""
     n_u, n_v = len(u_rows[0]), len(v_rows[0])

@@ -25,9 +25,8 @@ each target index i once.  Between two distinct vertices no two terms
 merge, since the monomial p_{I+j} q_{J-i} fixes both j and i; loops,
 whose terms can share a monomial, are valued on the merged int relations.
 
-The witness check scales the witness and the arrows' field layers once,
-with one exponent scale, and keeps one minor memo per vertex: every arrow
-that touches a vertex and its Pluecker valuations read the same memo.
+The witness check scales the witness and the field layers once and keeps
+one minor memo per vertex, read by its arrows and its Pluecker valuations.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .matroid import (
     quotient_check,
     tls_equal,
 )
-from .puiseux import (FieldMatrix, PuiseuxElement, _check_rank, _contained, _scaled,
+from .puiseux import (FieldMatrix, PuiseuxElement, _check_rank, _contained, _scaled_system,
                       _valuations, valuation)
 from .trop import TropMatrix, TropPolynomial, TropValue
 
@@ -478,10 +477,9 @@ def is_subrepresentation(rep: QuiverRepresentation, candidate):
 
 def _arrow_failure(rep: QuiverRepresentation, candidate):
     """is_subrepresentation's checks in order (shapes, each arrow's
-    containment, each vertex's rank) on one scaling of the candidate and
-    the field layers, with one exponent scale N and one minor memo per
-    vertex.  Returns (the first arrow not contained or None, N,
-    {vertex: (rows, memo)})."""
+    containment, each vertex's rank) on one _scaled_system of the field
+    layers and the candidate.  Returns (the first arrow not contained or
+    None, N, {vertex: (rows, memo)})."""
     if set(candidate) != set(rep.vertices):
         raise UsageError("candidate must be keyed by exactly the vertices")
     for v in rep.vertices:
@@ -491,11 +489,9 @@ def _arrow_failure(rep: QuiverRepresentation, candidate):
                 "candidate at %r must be %dx%d" % (v, rep.dim[v], rep.n)
             )
     fields = {a_idx: a.field for a_idx, a in enumerate(rep.arrows) if a.field is not None}
-    exp_scale, rows, _ = _scaled([[x for row in a.rows for x in row] for a in fields.values()]
-                                 + [row for v in rep.vertices for row in candidate[v].rows])
-    flats, rows, scaled = dict(zip(fields, rows)), rows[len(fields) :], {}
-    for v in rep.vertices:
-        scaled[v], rows = (rows[: rep.dim[v]], {(): {0: 1}}), rows[rep.dim[v] :]
+    exp_scale, flats, scaled = _scaled_system(list(fields.values()),
+                                              [candidate[v] for v in rep.vertices])
+    flats, scaled = dict(zip(fields, flats)), dict(zip(rep.vertices, scaled))
     for a_idx, arrow in enumerate(rep.arrows):
         rep.field_matrix(a_idx)  # raises UsageError if the arrow has no field layer
         if not _contained(flats[a_idx], *scaled[arrow.src], *scaled[arrow.dst]):
@@ -511,9 +507,8 @@ def trop_qgr_witness_check(rep: QuiverRepresentation, mus, witness):
     subrepresentation whose Pluecker valuations reproduce each matroid
     projectively.  Returns (bool, certificate).
 
-    The arrows are checked on _arrow_failure's scaling; each vertex's
-    valuations are then read off its memo, where a target's maximal minors
-    already are, as subminors of its stacked images."""
+    Each vertex's valuations are read off its _arrow_failure memo, which
+    holds a target's maximal minors as subminors of its stacked images."""
     _validate_tuple(rep, mus)
     a_idx, exp_scale, scaled = _arrow_failure(rep, witness)
     if a_idx is not None:
