@@ -15,9 +15,9 @@ containment kernel puts each image row A*u on top of V's rows, so V's minors
 are expanded once per memo and shared by every image row; the witness check
 keeps one memo per vertex for all its arrows and its Pluecker valuations.  A
 matrix-vector product also runs on scaled integers and is converted back
-once per output term.  The valuation of an element is its least exponent; zero has valuation
-infinity.  FieldMatrix shares trop's matrix base with TropMatrix and gives
-val(A)'s finite entries without building a TropValue.
+once per output term.  The valuation of an element is its least exponent;
+zero has valuation infinity.  FieldMatrix shares trop's matrix base with
+TropMatrix and gives val(A)'s finite entries without building a TropValue.
 """
 
 from __future__ import annotations
