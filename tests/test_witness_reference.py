@@ -183,7 +183,8 @@ def test_witness_check_matches_reference():
         got = outcome(lib_trop_qgr_witness_check, rep, mus, witness)
         subrep = outcome(lib_is_subrepresentation, rep, witness)
         late = outcome(rank_check, rep, witness)
-        if outcome(is_subrepresentation, rep, witness) == ("ok", (True, None)) and late[0] == "raise":
+        accepted = outcome(is_subrepresentation, rep, witness) == ("ok", (True, None))
+        if accepted and late[0] == "raise":
             assert outcome(_validate_tuple, rep, mus) == ("ok", None)
             assert got == subrep == late, (rep, witness)
             kinds.add("raised after the arrows")
@@ -201,9 +202,9 @@ def test_witness_check_matches_reference():
             if ok and kinds & {"loop", "several arrows", "isolated vertex"}:
                 seen |= {"accepted with " + k for k in kinds}
     expected = {"accepted", "subrepresentation", "later arrow rejects", "valuation-mismatch",
-                "U", "candidate", "arrow", "cap", "loop", "raised after the arrows", "several arrows", "isolated vertex",
-                "rank-deficient witness", "tropical arrow", "swapped tuple",
-                "accepted with loop", "accepted with several arrows",
+                "U", "candidate", "arrow", "cap", "raised after the arrows", "loop",
+                "several arrows", "isolated vertex", "rank-deficient witness", "tropical arrow",
+                "swapped tuple", "accepted with loop", "accepted with several arrows",
                 "accepted with isolated vertex"}
     assert expected <= seen, expected - seen
 
@@ -216,8 +217,8 @@ def test_candidate_shape_errors_match_reference():
     mus = {"u": pluecker_valuations(u), "w": pluecker_valuations(w)}
     for witness in ({"u": u}, {"u": u, "w": u}, {"u": u, "w": full_rank(rng, 2, 2)},
                     {"u": u, "w": w, "z": w}):
-        for lib, ref in ((lib_is_subrepresentation, is_subrepresentation),):
-            assert outcome(lib, rep, witness) == outcome(ref, rep, witness)
+        assert (outcome(lib_is_subrepresentation, rep, witness)
+                == outcome(is_subrepresentation, rep, witness))
         got = outcome(lib_trop_qgr_witness_check, rep, mus, witness)
         assert got == outcome(trop_qgr_witness_check, rep, mus, witness)
         assert got[:2] == ("raise", UsageError)
@@ -238,7 +239,7 @@ def test_each_minor_is_expanded_once_per_witness_check(monkeypatch):
     n = 5
     a, b = ([[positive() for _ in range(n)] for _ in range(n)] for _ in range(2))
     a, b = FieldMatrix(a), FieldMatrix(b)
-    u, x = FieldMatrix([[positive() for _ in range(n)]]), FieldMatrix([[positive() for _ in range(n)]])
+    u, x = (FieldMatrix([[positive() for _ in range(n)]]) for _ in range(2))
     w = FieldMatrix([a.matvec(u.rows[0]), b.matvec(x.rows[0]), [positive() for _ in range(n)]])
     assert rank_via_minors(w) == 3
     rep = QuiverRepresentation(n, ["u", "x", "w"], [RepArrow("u", "w", field=a),
@@ -267,7 +268,8 @@ def test_rank_deficient_vertex_without_arrows_is_rejected():
     """dims (1, 2, 2), u -> w, and x = [[1, 0, 0], [2, 0, 0]] at the vertex
     that no arrow touches: UsageError, as at an arrow's end, where the
     reference accepted; an arrow that rejects still comes first."""
-    rep = QuiverRepresentation(3, ["u", "w", "x"], [RepArrow("u", "w", field=FieldMatrix.identity(3))],
+    rep = QuiverRepresentation(3, ["u", "w", "x"],
+                               [RepArrow("u", "w", field=FieldMatrix.identity(3))],
                                {"u": 1, "w": 2, "x": 2})
     w, x = FieldMatrix([[1, 0, 0], [0, 1, 0]]), FieldMatrix([[1, 0, 0], [2, 0, 0]])
     mus = {"u": pluecker_valuations(FieldMatrix([[1, 0, 0]])), "w": pluecker_valuations(w),
