@@ -32,7 +32,11 @@ checkout's src/ gives that version's digest.  Everything runs in process:
   digit limit, which exits 2 (relation_inputs);
 - qgr-witness-check on quivers with two arrows into one vertex, a loop, a
   vertex that no arrow touches, a rank-deficient witness, and a tropical
-  arrow behind a rejecting field arrow (witness_inputs).
+  arrow behind a rejecting field arrow (witness_inputs);
+- field inputs whose matrices differ in their exponent scales, whose rows
+  differ in their coefficient denominators, a field arrow beside a
+  tropical one with a third exponent denominator, and a weakly monomial
+  matrix with rational entries (storage_inputs).
 
 Each output enters the hash as the exact text the command wrote, with
 two edits: the value of elapsed_ms is masked and input paths are reduced
@@ -59,7 +63,7 @@ sys.path[:0] = [os.path.join(ROOT, "bench"), os.path.join(ROOT, "tests")]
 
 import generators as gen  # noqa: E402
 from test_cli import EXIT_2, SPARSE_12, USAGE_ARGVS  # noqa: E402
-from test_minor_reference import rational_matrix  # noqa: E402
+from test_minor_reference import rational_matrix, rational_puiseux  # noqa: E402
 from tropquiver import cli  # noqa: E402
 from tropquiver.matroid import tls_equal  # noqa: E402
 from tropquiver.puiseux import (  # noqa: E402
@@ -402,6 +406,53 @@ def witness_inputs():
     ]
 
 
+def _with_coefficients_over(rng, dens, n, exp_dens):
+    """A field matrix with one row per coefficient denominator in dens."""
+    return FieldMatrix([[rational_puiseux(rng, den, exp_dens=exp_dens) for _ in range(n)]
+                        for den in dens])
+
+
+def storage_inputs():
+    """Field inputs whose matrices have different scales, n = 4:
+    - qgr-witness-check on an arrow u -> w with exponents over 2 and a
+      witness with exponents over 3 (at u) and over 3 and 5 (at w), ranks
+      (1, 2): accepted, and rejected at its arrow;
+    - realize on a 3 x 5 matrix whose rows have coefficients over 3, 7
+      and 4, and exponents over 2;
+    - relations on a field arrow u -> w with exponents over 2 and 3 and a
+      tropical arrow x -> w with values over 7, ranks (2, 2, 1);
+    - monomial-decompose on a weakly monomial matrix with a zero row, a
+      binomial entry and rational exponents and coefficients."""
+    rng = random.Random("cli_golden:storage")
+    a = rational_matrix(rng, 4, 4, exp_dens=(2,))
+    while True:
+        u = _with_coefficients_over(rng, [9], 4, (3,))
+        w = FieldMatrix([a.matvec(u.rows[0])] + list(_with_coefficients_over(rng, [7], 4, (5,)).rows))
+        w_bad = _with_coefficients_over(rng, [5, 7], 4, (3, 5))
+        if (rank_via_minors(u) == 1 and rank_via_minors(w) == rank_via_minors(w_bad) == 2
+                and not classical_containment(a, u, w_bad)):
+            break
+    while True:
+        m = _with_coefficients_over(rng, [3, 7, 4], 5, (2,))
+        if rank_via_minors(m) == 3:
+            break
+    quiver = {"n": 4, "vertices": ["u", "w", "x"], "dim": {"u": 2, "w": 2, "x": 1}, "arrows": [
+        {"src": "u", "dst": "w", "matrix_field": gen.enc_field(rational_matrix(rng, 4, 4, (2, 3)))},
+        {"src": "x", "dst": "w", "matrix_trop": [["1/7", "inf", "-3/7", "inf"], ["inf"] * 4,
+                                                 ["0", "2", "inf", "5/7"], ["inf", "-1", "inf", "inf"]]}]}
+    monomial = _field([[{}, {"1/3": "3/4"}, {}, {}], [{}, {}, {}, {}],
+                       [{"-1/2": "-2/5", "2/3": "7"}, {}, {}, {}], [{}, {}, {}, {"5/2": "-1/6"}]])
+    mus = {"u": pluecker_valuations(u), "w": pluecker_valuations(w)}
+    return [
+        _witness_case("scales", 4, [("u", "w", a, None)], {"u": 1, "w": 2}, {"u": u, "w": w}),
+        _witness_case("scales_bad", 4, [("u", "w", a, None)], {"u": 1, "w": 2},
+                      {"u": u, "w": w_bad}, mus),
+        ("realize", [("matrix_rows_scaled", gen.enc_field(m))]),
+        ("relations", [("field_and_sevenths", quiver)]),
+        ("monomial-decompose", [("monomial_rational", monomial)]),
+    ]
+
+
 _ELAPSED = re.compile(r'"elapsed_ms": [^,\n]*')
 
 
@@ -454,7 +505,8 @@ def records(seeds):
                   ("check-matroid", [("missing", None)])] + OVER_CAP
         inputs += [(command, files) for command, files, _ in EXIT_2]
         for command, files in (inputs + exchange_inputs() + rational_inputs() + mixed_scale_inputs()
-                               + loop_inputs() + relation_inputs() + witness_inputs()):
+                               + loop_inputs() + relation_inputs() + witness_inputs()
+                               + storage_inputs()):
             argv = command.split()
             for name, data in files:
                 argv.append(os.path.join(directory, name + ".json"))
