@@ -132,16 +132,16 @@ def is_affine_morphism(f: GroundSetMap, mu: ValuatedMatroid, nu: ValuatedMatroid
 
 def is_weakly_monomial(a: FieldMatrix) -> bool:
     """At most one nonzero entry in each row."""
-    return all(sum(1 for e in row if not e.is_zero) <= 1 for row in a.rows)
+    return all(sum(1 for x in row if x) <= 1 for row in a._at)
 
 
 def _monomial_rows(a: FieldMatrix, noun):
-    """Per row of a square weakly monomial matrix, (column, entry) of its
+    """Per row of a square weakly monomial matrix, the column of its
     nonzero entry, 0-based, or None for a zero row; UsageError naming noun
     if a is not square, or not weakly monomial."""
     if a.n_rows != a.n_cols:
         raise UsageError("%s needs a square matrix" % noun)
-    hits = [[(j, e) for j, e in enumerate(row) if not e.is_zero] for row in a.rows]
+    hits = [[j for j, x in enumerate(row) if x] for row in a._at]
     if any(len(hit) > 1 for hit in hits):
         raise UsageError("matrix is not weakly monomial")
     return [hit[0] if hit else None for hit in hits]
@@ -152,8 +152,8 @@ def associated_map(a: FieldMatrix) -> GroundSetMap:
     (o, inf); otherwise i goes to the column of its nonzero entry with the
     entry's valuation as shift."""
     assignments = {}
-    for i, hit in enumerate(_monomial_rows(a, "associated map"), start=1):
-        assignments[i] = (O, INF) if hit is None else (hit[0] + 1, valuation(hit[1]))
+    for i, j in enumerate(_monomial_rows(a, "associated map")):
+        assignments[i + 1] = (O, INF) if j is None else (j + 1, valuation(a.entry(i, j)))
     return GroundSetMap(a.n_rows, assignments)
 
 
@@ -189,13 +189,13 @@ def decompose_weakly_monomial(a: FieldMatrix):
     n = a.n_rows
     one = PuiseuxElement.const(1)
     b_rows, d_rows = [], []
-    for i, hit in enumerate(_monomial_rows(a, "decomposition")):
+    for i, j in enumerate(_monomial_rows(a, "decomposition")):
         b_row = [F_ZERO] * n
         d_row = [F_ZERO] * n
-        if hit is None:
+        if j is None:
             d_row[i] = one
         else:
-            j, d_row[i] = hit
+            d_row[i] = a.entry(i, j)
             b_row[j] = one
         b_rows.append(tuple(b_row))
         d_rows.append(tuple(d_row))

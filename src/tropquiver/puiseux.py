@@ -1,21 +1,21 @@
 """Exact arithmetic in finite Puiseux polynomials over the rationals.
 
 An element is a finite sum of c * t**e with rational c and rational e.
-All operations are ring operations (no division).  The maximal minors
+All operations are ring operations (no division).  A FieldMatrix is stored
+once, by its constructor, over ints: exponents times the lcm N of all its
+exponent denominators, coefficients times the lcm L of all its coefficient
+denominators, one L for the whole matrix.  Its rows and entries are views
+converted back exactly by one converter, _unscaled.  The maximal minors
 behind determinants, ranks, Pluecker valuations and containment come from
-one memoized Laplace expansion under one size cap, SIZE_CAP.  It runs on
-integers: each matrix is scaled once, every exponent by the lcm N of all
-exponent denominators and each row's coefficients by the lcm of that row's
-denominators, so a minor is an {int: int} map equal to the true minor times
-the product L of the row scales, with exponents times N.  A determinant is
-converted back exactly (exponents over N, coefficients over L); a Pluecker
-valuation is the least scaled exponent over N.  A memo, keyed by columns,
-holds the minors of one matrix's bottom rows, maximal ones included.  The
-containment kernel puts each image row A*u on top of V's rows, so V's minors
-are expanded once per memo and shared by every image row; the witness check
-keeps one memo per vertex for all its arrows and its Pluecker valuations.  A
-matrix-vector product also runs on scaled integers and is converted back
-once per output term.  The valuation of an element is its least exponent;
+one memoized Laplace expansion of those ints under one size cap, SIZE_CAP:
+a k x k minor is an {int: int} map equal to the true minor times L**k,
+with exponents times N; matrices read together are first moved to one N.
+A Pluecker valuation is the least scaled exponent over N.  A memo, keyed
+by columns, holds the minors of one matrix's bottom rows, maximal ones
+included.  The containment kernel puts each image row A*u on top of V's
+rows, so V's minors are expanded once per memo and shared by every image
+row; the witness check keeps one memo per vertex for all its arrows and its
+Pluecker valuations.  The valuation of an element is its least exponent;
 zero has valuation infinity.  FieldMatrix shares trop's matrix base with
 TropMatrix and gives val(A)'s finite entries without building a TropValue.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import lcm, prod
+from math import lcm
 
 from .errors import CapacityError, NotARealizationError, ShapeError, UsageError
 from .matroid import ValuatedMatroid
@@ -148,31 +148,63 @@ def valuation(p: PuiseuxElement) -> TropValue:
     return TropValue(min(p._terms))
 
 
+def _unscaled(terms, exp_scale, coeff_scale):
+    """The Puiseux element of int (exponent, coefficient) terms, exponents
+    over exp_scale and coefficients over coeff_scale."""
+    return PuiseuxElement({Fraction(e, exp_scale): Fraction(c, coeff_scale) for e, c in terms})
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class FieldMatrix(_Matrix):
-    """Rectangular matrix of Puiseux elements."""
+    """Rectangular matrix of Puiseux elements, stored only as _at, its rows
+    of {exponent * N: coefficient * L} maps, N = _scale and L = _coeff."""
 
-    __slots__ = ()
+    __slots__ = ("_scale", "_coeff", "_at")
+    _scale: int
+    _coeff: int
+    _at: tuple
     _coerce = staticmethod(_coerce)
     _one, _zero = ONE, ZERO
     _layer, _sep = "field", ", "
 
+    def _store(self, rows):
+        terms = [x._terms for row in rows for x in row]
+        # reduce, not lcm(*...): unpacking a generator builds and resizes an
+        # argument tuple on every call, which raised peak RSS over long runs
+        exp_scale = reduce(lcm, (e.denominator for t in terms for e in t), 1)
+        coeff_scale = reduce(lcm, (c.denominator for t in terms for c in t.values()), 1)
+        object.__setattr__(self, "_scale", exp_scale)
+        object.__setattr__(self, "_coeff", coeff_scale)
+        object.__setattr__(self, "_at", tuple(tuple(
+            {e.numerator * (exp_scale // e.denominator): c.numerator * (coeff_scale // c.denominator)
+             for e, c in x._terms.items()} for x in row) for row in rows))
+
+    @property
+    def rows(self):
+        return tuple(tuple(_unscaled(x.items(), self._scale, self._coeff) for x in row)
+                     for row in self._at)
+
+    def entry(self, i, j):
+        return _unscaled(self._at[i][j].items(), self._scale, self._coeff)
+
+    n_rows = property(lambda self: len(self._at))
+    n_cols = property(lambda self: len(self._at[0]))
+
+    def __hash__(self):
+        return hash(tuple(tuple(frozenset(x.items()) for x in row) for row in self._at))
+
     def _finite_entries(self):
         """val(A)'s finite entries: each nonzero entry's least exponent."""
-        return [(i, j, min(x._terms)) for i, row in enumerate(self.rows, 1)
-                for j, x in enumerate(row, 1) if x._terms]
+        return [(i, j, Fraction(min(x), self._scale)) for i, row in enumerate(self._at, 1)
+                for j, x in enumerate(row, 1) if x]
 
     def matvec(self, v):
-        v = tuple(_coerce(e) for e in v)
-        if len(v) != self.n_cols:
+        v = FieldMatrix([v])
+        if v.n_cols != self.n_cols:
             raise ShapeError("vector length mismatch")
-        exp_scale, (flat, vec), (a_scale, v_scale) = _scaled([[x for row in self.rows for x in row], v])
-        coeff_scale = a_scale * v_scale
-        return tuple(
-            PuiseuxElement({Fraction(e, exp_scale): Fraction(c, coeff_scale)
-                            for e, c in image.items()})
-            for image in _image(flat, self.n_cols, vec)
-        )
+        exp_scale, (a_rows, (vec,)) = _scaled_system([self, v])
+        return tuple(_unscaled(image.items(), exp_scale, self._coeff * v._coeff)
+                     for image in _image(a_rows, vec))
 
 
 def _check_cap(n_rows, n_cols):
@@ -180,38 +212,14 @@ def _check_cap(n_rows, n_cols):
         raise CapacityError("matrix size cap is %dx%d" % SIZE_CAP)
 
 
-def _scaled(rows):
-    """Rows of Puiseux elements over lcm-scaled integers.
-
-    Returns (N, scaled, scales).  N is the lcm of every exponent
-    denominator in rows; scales[i] is the lcm of row i's coefficient
-    denominators; scaled[i] is row i as a list of {int exponent: int
-    coefficient} dicts, exponents times N and coefficients times
-    scales[i]."""
-    # reduce, not lcm(*...): unpacking a generator builds and resizes an
-    # argument tuple on every call, which raised peak RSS over long runs
-    exp_scale = reduce(lcm, (e.denominator for row in rows for x in row for e in x._terms), 1)
-    scaled, scales = [], []
-    for row in rows:
-        row_scale = reduce(lcm, (c.denominator for x in row for c in x._terms.values()), 1)
-        scales.append(row_scale)
-        scaled.append([
-            {e.numerator * (exp_scale // e.denominator):
-             c.numerator * (row_scale // c.denominator) for e, c in x._terms.items()}
-            for x in row
-        ])
-    return exp_scale, scaled, scales
-
-
-def _image(flat, n_cols, vec):
+def _image(a_rows, vec):
     """A·u over scaled integers: one {int: int} map per row of A, without
-    zero coefficients.  flat holds A's entries, n_cols per row of A, scaled
-    by _scaled as one row, so that every entry of A·u has one coefficient
-    scale; vec holds u's scaled entries."""
+    zero coefficients, from A's rows and u's entries on one exponent scale
+    (_scaled_system); its coefficients are scaled by A's L times u's."""
     out = []
-    for i in range(0, len(flat), n_cols):
+    for a_row in a_rows:
         acc = {}
-        for x, y in zip(flat[i : i + n_cols], vec):
+        for x, y in zip(a_row, vec):
             if x and y:
                 _mul_add(acc, x, y)
         out.append({e: c for e, c in acc.items() if c})
@@ -269,20 +277,16 @@ def det(m: FieldMatrix) -> PuiseuxElement:
     if m.n_rows != m.n_cols:
         raise ShapeError("determinant needs a square matrix")
     _check_cap(m.n_rows, m.n_cols)
-    exp_scale, rows, scales = _scaled(m.rows)
-    coeff_scale = prod(scales)
-    minor = _expand(rows, {(): {0: 1}}, tuple(range(m.n_cols)))
-    return PuiseuxElement({Fraction(e, exp_scale): Fraction(c, coeff_scale)
-                           for e, c in minor.items()})
+    minor = _expand(m._at, {(): {0: 1}}, tuple(range(m.n_cols)))
+    return _unscaled(minor.items(), m._scale, m._coeff ** m.n_rows)
 
 
 def rank_via_minors(m: FieldMatrix) -> int:
-    """Size of the largest nonzero minor: m is scaled once, and each row
-    subset is expanded with its own memo."""
+    """Size of the largest nonzero minor: each row subset of the stored
+    rows is expanded with its own memo."""
     _check_cap(m.n_rows, m.n_cols)
-    _, rows, _ = _scaled(m.rows)
     for k in range(min(m.n_rows, m.n_cols), 0, -1):
-        for sub in combinations(rows, k):
+        for sub in combinations(m._at, k):
             if _full_row_rank(sub, m.n_cols):
                 return k
     return 0
@@ -291,8 +295,7 @@ def rank_via_minors(m: FieldMatrix) -> int:
 def pluecker_valuations(m: FieldMatrix):
     """Valuated matroid of the row span: subset I of columns maps to the
     valuation of the corresponding maximal minor.  Requires full row rank."""
-    exp_scale, rows, _ = _scaled(m.rows)
-    return _valuations(rows, m.n_cols, exp_scale)
+    return _valuations(m._at, m.n_cols, m._scale)
 
 
 def _valuations(rows, n_cols, exp_scale, memo=None):
@@ -313,44 +316,41 @@ def classical_containment(a: FieldMatrix, u: FieldMatrix, v: FieldMatrix) -> boo
     """Is A * rowspan(U) contained in rowspan(V)?  U and V must have full
     row rank; A*u is in rowspan(V) iff [A*u; V] lacks full row rank.
 
-    A, U and V are scaled once (_scaled_system) and handed to _contained."""
+    A, U and V are moved to one exponent scale (_scaled_system) and handed
+    to _contained."""
     if a.n_cols != u.n_cols:
         raise ShapeError("A has %d columns, U vectors have length %d"
                          % (a.n_cols, u.n_cols))
     if a.n_rows != v.n_cols:
         raise ShapeError("A maps into length %d, V vectors have length %d"
                          % (a.n_rows, v.n_cols))
-    _, (flat,), (u_scaled, v_scaled) = _scaled_system([a], [u, v])
-    return _contained(flat, *u_scaled, *v_scaled)
+    _, (a_rows, u_rows, v_rows) = _scaled_system([a, u, v])
+    return _contained(a_rows, u_rows, {(): {0: 1}}, v_rows, {(): {0: 1}})
 
 
-def _scaled_system(maps, matrices):
-    """Field matrices scaled once with one exponent scale N: each of maps
-    flat in one row, for _image, and each of matrices as its rows with a
-    fresh minor memo.  Returns (N, flats, [(rows, memo)])."""
-    exp_scale, rows, _ = _scaled([[x for row in a.rows for x in row] for a in maps]
-                                 + [row for m in matrices for row in m.rows])
-    flats, rows, scaled = rows[: len(maps)], rows[len(maps) :], []
-    for m in matrices:
-        scaled.append((rows[: m.n_rows], {(): {0: 1}}))
-        rows = rows[m.n_rows :]
-    return exp_scale, flats, scaled
+def _scaled_system(matrices):
+    """The stored rows of field matrices with their exponents moved to one
+    scale N, the lcm of their own.  Returns (N, [rows])."""
+    exp_scale = reduce(lcm, (m._scale for m in matrices), 1)
+    return exp_scale, [m._at if m._scale == exp_scale else
+                       tuple(tuple({e * (exp_scale // m._scale): c for e, c in x.items()}
+                                   for x in row) for row in m._at) for m in matrices]
 
 
-def _contained(flat, u_rows, u_memo, v_rows, v_memo):
-    """classical_containment on a _scaled_system: A flat, U and V with
-    their memos (one memo if U is V).  Each image row goes on top of V's
+def _contained(a_rows, u_rows, u_memo, v_rows, v_memo):
+    """classical_containment on a _scaled_system: A's rows, U and V with
+    their minor memos (one memo if U is V).  Each image row goes on top of V's
     rows and the (s+1)-minors are expanded along it with V's memo, whose
     keys of at most s = len(v_rows) columns name V's bottom rows either way,
     so V's minors are expanded once per memo and each (s+1)-minor costs s+1
     products.  The checks run in this order: the cap of U, U's rank, the
     cap of V, V's rank, the cap of the stacked (s+1) x n shape."""
-    n_u, n_v = len(u_rows[0]), len(v_rows[0])
+    n_v = len(v_rows[0])
     _check_rank(u_rows, u_memo, "U and V must have full row rank")
     _check_rank(v_rows, v_memo, "U and V must have full row rank")
     _check_cap(len(v_rows) + 1, n_v)
     for row in u_rows:
-        stacked = [_image(flat, n_u, row)] + v_rows
+        stacked = (_image(a_rows, row),) + v_rows
         if any(_expand(stacked, v_memo, cols) for cols in combinations(range(n_v), len(stacked))):
             return False
     return True

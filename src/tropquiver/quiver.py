@@ -10,13 +10,13 @@ and never build it as a TropMatrix.  Relation variables are labeled
 (vertex, subset) so that a tuple of valuated matroids keyed by vertex
 names gives an assignment directly.
 
-Relations are generated and deduplicated over ints: each matrix is scaled
-once, exponents by the lcm N of their denominators and coefficients by one
-lcm L over the whole matrix (not per row, as puiseux's minor expansion
-does, because one relation sums entries of different rows).  Puiseux and
-tropical objects are built only for the relations that are yielded or
-kept, and not at all for the relations verdict: _kept_relations hands the
-kept int relations and their scales to jsonio.relations_to_json.
+Relations are generated and deduplicated over ints: a field layer's
+stored form (one coefficient scale L per matrix, as one relation sums
+entries of different rows) or a tropical layer's values, with exponents on
+one scale N.  Puiseux and tropical objects are built only for the
+relations that are yielded or kept, and not at all for the relations
+verdict: _kept_relations hands the kept int relations and their scales to
+jsonio.relations_to_json.
 
 Both membership routes evaluate an arrow by the terms
 val(A_ij) + mu(I+j) + nu(J-i) in matroid's one integer walk: relations
@@ -25,8 +25,9 @@ each target index i once.  Between two distinct vertices no two terms
 merge, since the monomial p_{I+j} q_{J-i} fixes both j and i; loops,
 whose terms can share a monomial, are valued on the merged int relations.
 
-The witness check scales the witness and the field layers once and keeps
-one minor memo per vertex, read by its arrows and its Pluecker valuations.
+The witness check moves the witness and the field layers to one exponent
+scale and keeps one minor memo per vertex, read by its arrows and its
+Pluecker valuations.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .matroid import (
     quotient_check,
     tls_equal,
 )
-from .puiseux import (FieldMatrix, PuiseuxElement, _check_rank, _contained, _scaled_system,
+from .puiseux import (FieldMatrix, _check_rank, _contained, _scaled_system, _unscaled,
                       _valuations, valuation)
 from .trop import TropMatrix, TropPolynomial, TropValue
 
@@ -117,31 +118,28 @@ class QuiverRepresentation:
         return a.field
 
 
-def _exponent_denominators(arrow: RepArrow):
-    """Denominators of an arrow's exponents: those of every term of its
-    field entries, or of its finite tropical entries."""
-    if arrow.field is not None:
-        return (e.denominator for row in arrow.field.rows for x in row for e, _ in x.terms())
-    return (x.value.denominator for row in arrow.trop.rows for x in row if x.is_finite)
+def _exp_scale(arrows):
+    """The lcm of the arrows' exponent denominators: a field layer's stored
+    scale, or the denominators of a tropical layer's finite entries."""
+    return reduce(lcm, [a.field._scale if a.field is not None else
+                        reduce(lcm, (x.denominator for _, _, x in a.trop._finite_entries()), 1)
+                        for a in arrows], 1)
 
 
 def _scaled_columns(arrow: RepArrow, exp_scale):
     """An arrow's nonzero (tropically: finite) entries per column as
-    (j, [(i, entry)]), 1-based, over ints: exponents times exp_scale, field
-    coefficients times L, the lcm of every coefficient denominator of the
-    matrix (one scale for all rows, see the module docstring).  An entry is
-    the pair of its values under the signs +1 and -1: a field entry's
-    sorted (exponent, coefficient) tuple and its negative, a tropical
-    entry's value twice.  Returns (columns, L), L None for the tropical
-    layer."""
+    (j, [(i, entry)]), 1-based, over ints with exponents times exp_scale
+    and a field layer's stored coefficients.  An entry is the pair of its
+    values under the signs +1 and -1: a field entry's sorted (exponent,
+    coefficient) tuple and its negative, a tropical entry's value twice.
+    Returns (columns, L), L the field layer's coefficient scale, None for
+    the tropical layer."""
     if arrow.field is not None:
-        rows = [[x.terms() or None for x in row] for row in arrow.field.rows]
-        coeff_scale = reduce(lcm, (c.denominator for row in rows for x in row if x
-                                   for _, c in x), 1)
+        k, coeff_scale = exp_scale // arrow.field._scale, arrow.field._coeff
+        rows = [[tuple(sorted((e * k, c) for e, c in x.items())) or None for x in row]
+                for row in arrow.field._at]
 
-        def scaled(terms):
-            p = tuple((e.numerator * (exp_scale // e.denominator),
-                       c.numerator * (coeff_scale // c.denominator)) for e, c in terms)
+        def scaled(p):
             return p, tuple((e, -c) for e, c in p)
     else:
         rows = [[x.value for x in row] for row in arrow.trop.rows]
@@ -220,8 +218,7 @@ def _convert(terms, exp_scale, coeff_scale, cache):
             if coeff_scale is None:
                 hit = TropValue(Fraction(c, exp_scale))
             else:
-                hit = (PuiseuxElement({Fraction(e, exp_scale): Fraction(k, coeff_scale)
-                                       for e, k in c}),
+                hit = (_unscaled(c, exp_scale, coeff_scale),
                        TropValue(Fraction(c[0][0], exp_scale)))
             cache[c] = hit
         values.append(hit)
@@ -262,7 +259,7 @@ def quiver_pluecker_relations(rep: QuiverRepresentation, a_idx):
     without it, colliding monomials are merged tropically by minimum.
     Relations without terms are skipped in both layers.
     """
-    exp_scale = reduce(lcm, _exponent_denominators(rep.arrows[a_idx]), 1)
+    exp_scale = _exp_scale([rep.arrows[a_idx]])
     relations, coeff_scale = _arrow_relations(rep, a_idx, exp_scale)
     cache = {}
     for i_set, j_set, terms in relations:
@@ -309,7 +306,7 @@ def _kept_relations(rep: QuiverRepresentation):
     n, dim = rep.n, rep.dim
     pairs = sum(comb(n, dim[v] - 1) * comb(n, dim[v] + 1) for v in rep.vertices)
     check_walk("relation generation", pairs + _arrow_pairs(rep), "(I, J) pairs")
-    exp_scale = reduce(lcm, (d for a in rep.arrows for d in _exponent_denominators(a)), 1)
+    exp_scale = _exp_scale(rep.arrows)
     sources = [("vertex", v, _relations(n, dim[v], dim[v], v, v, _identity_columns(n), _add), 1)
                for v in rep.vertices]
     sources += [("arrow", a_idx) + _arrow_relations(rep, a_idx, exp_scale)
@@ -404,7 +401,7 @@ def _relation_failure(rep: QuiverRepresentation, mus):
             if hit is not None:
                 return "relation", a_idx, hit[0][0], hit[1][0]
             continue
-        exp_scale = reduce(lcm, _exponent_denominators(arrow), 1)
+        exp_scale = _exp_scale([arrow])
         relations, coeff_scale = _arrow_relations(rep, a_idx, exp_scale)
         values = _fractions(mus[arrow.src])
         for i_set, j_set, terms in relations:
@@ -489,12 +486,12 @@ def _arrow_failure(rep: QuiverRepresentation, candidate):
                 "candidate at %r must be %dx%d" % (v, rep.dim[v], rep.n)
             )
     fields = {a_idx: a.field for a_idx, a in enumerate(rep.arrows) if a.field is not None}
-    exp_scale, flats, scaled = _scaled_system(list(fields.values()),
-                                              [candidate[v] for v in rep.vertices])
-    flats, scaled = dict(zip(fields, flats)), dict(zip(rep.vertices, scaled))
+    exp_scale, rows = _scaled_system([*fields.values()] + [candidate[v] for v in rep.vertices])
+    maps = dict(zip(fields, rows))
+    scaled = {v: (r, {(): {0: 1}}) for v, r in zip(rep.vertices, rows[len(fields) :])}
     for a_idx, arrow in enumerate(rep.arrows):
         rep.field_matrix(a_idx)  # raises UsageError if the arrow has no field layer
-        if not _contained(flats[a_idx], *scaled[arrow.src], *scaled[arrow.dst]):
+        if not _contained(maps[a_idx], *scaled[arrow.src], *scaled[arrow.dst]):
             return a_idx, exp_scale, scaled
     for v in rep.vertices:
         _check_rank(*scaled[v], "candidate at %r must have full row rank" % (v,))

@@ -179,12 +179,11 @@ def projectively_equal(v: TropVector, w: TropVector) -> bool:
 @dataclass(frozen=True, init=False, repr=False)
 class _Matrix:
     """Nonempty rectangular grid.  A subclass gives its entry coercion, one
-    and zero, layer name and repr separator, and _finite_entries: val(A)'s
-    finite entries as 1-based (i, j, rational) triples, read by matroid's
-    walk from either layer."""
+    and zero, layer name and repr separator, _store(rows), which keeps the
+    checked rows, and _finite_entries: val(A)'s finite entries as 1-based
+    (i, j, rational) triples, read by matroid's walk from either layer."""
 
-    __slots__ = ("rows",)
-    rows: tuple
+    __slots__ = ()
 
     def __init__(self, rows):
         coerce = self._coerce
@@ -194,7 +193,7 @@ class _Matrix:
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise ShapeError("ragged %s matrix" % self._layer)
-        object.__setattr__(self, "rows", rows)
+        self._store(rows)
 
     @property
     def n_rows(self):
@@ -221,10 +220,14 @@ class _Matrix:
 class TropMatrix(_Matrix):
     """Rectangular grid of tropical values."""
 
-    __slots__ = ()
+    __slots__ = ("rows",)
+    rows: tuple
     _coerce = staticmethod(_coerce)
     _one, _zero = ZERO, INF
     _layer, _sep = "tropical", " "
+
+    def _store(self, rows):
+        object.__setattr__(self, "rows", rows)
 
     def _finite_entries(self):
         return [(i, j, v.value) for i, row in enumerate(self.rows, 1)

@@ -25,7 +25,7 @@ VALUES = [
     (TropMatrix([[0, 1]]), "rows"),
     (TropPolynomial([(0, ("x",))]), "terms"),
     (PuiseuxElement.const(1), "_terms"),
-    (FieldMatrix([[1, 0]]), "rows"),
+    (FieldMatrix([[1, 0]]), "_at"),  # rows is a view, built afresh on each read
     (uniform_matroid(3, 2), "n"),
     (GroundSetMap.identity(3), "f1"),
     (identity_chain_representation(3, (1, 2)), "arrows"),
