@@ -26,7 +26,7 @@ from .matroid import (
     subset_count,
 )
 from .puiseux import FieldMatrix, PuiseuxElement, valuation
-from .puiseux import ZERO as F_ZERO
+from .puiseux import ONE as F_ONE, ZERO as F_ZERO
 from .trop import INF, TropMatrix, TropValue, trop_matvec, trop_span_membership
 
 O = 0  # the distinguished origin element
@@ -187,16 +187,13 @@ def decompose_weakly_monomial(a: FieldMatrix):
     monomial support pattern and D a full-rank diagonal matrix (zero rows
     get diagonal entry 1)."""
     n = a.n_rows
-    one = PuiseuxElement.const(1)
     b_rows, d_rows = [], []
     for i, j in enumerate(_monomial_rows(a, "decomposition")):
         b_row = [F_ZERO] * n
         d_row = [F_ZERO] * n
-        if j is None:
-            d_row[i] = one
-        else:
-            d_row[i] = a.entry(i, j)
-            b_row[j] = one
+        d_row[i] = F_ONE if j is None else a.entry(i, j)
+        if j is not None:
+            b_row[j] = F_ONE
         b_rows.append(tuple(b_row))
         d_rows.append(tuple(d_row))
     return FieldMatrix(b_rows), FieldMatrix(d_rows)

@@ -149,9 +149,12 @@ def valuation(p: PuiseuxElement) -> TropValue:
 
 
 def _unscaled(terms, exp_scale, coeff_scale):
-    """The Puiseux element of int (exponent, coefficient) terms, exponents
-    over exp_scale and coefficients over coeff_scale."""
-    return PuiseuxElement({Fraction(e, exp_scale): Fraction(c, coeff_scale) for e, c in terms})
+    """The Puiseux element of int (exponent, coefficient) terms, none zero:
+    exponents over exp_scale, coefficients over coeff_scale, no coercion."""
+    p = object.__new__(PuiseuxElement)
+    object.__setattr__(p, "_terms", {Fraction(e, exp_scale): Fraction(c, coeff_scale)
+                                     for e, c in terms})
+    return p
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -171,12 +174,12 @@ class FieldMatrix(_Matrix):
         terms = [x._terms for row in rows for x in row]
         # reduce, not lcm(*...): unpacking a generator builds and resizes an
         # argument tuple on every call, which raised peak RSS over long runs
-        exp_scale = reduce(lcm, (e.denominator for t in terms for e in t), 1)
-        coeff_scale = reduce(lcm, (c.denominator for t in terms for c in t.values()), 1)
-        object.__setattr__(self, "_scale", exp_scale)
-        object.__setattr__(self, "_coeff", coeff_scale)
+        scale = reduce(lcm, (e.denominator for t in terms for e in t), 1)
+        coeff = reduce(lcm, (c.denominator for t in terms for c in t.values()), 1)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_coeff", coeff)
         object.__setattr__(self, "_at", tuple(tuple(
-            {e.numerator * (exp_scale // e.denominator): c.numerator * (coeff_scale // c.denominator)
+            {e.numerator * (scale // e.denominator): c.numerator * (coeff // c.denominator)
              for e, c in x._terms.items()} for x in row) for row in rows))
 
     @property
@@ -314,10 +317,8 @@ def _valuations(rows, n_cols, exp_scale, memo=None):
 
 def classical_containment(a: FieldMatrix, u: FieldMatrix, v: FieldMatrix) -> bool:
     """Is A * rowspan(U) contained in rowspan(V)?  U and V must have full
-    row rank; A*u is in rowspan(V) iff [A*u; V] lacks full row rank.
-
-    A, U and V are moved to one exponent scale (_scaled_system) and handed
-    to _contained."""
+    row rank; A*u is in rowspan(V) iff [A*u; V] lacks full row rank
+    (_contained, on A, U and V moved to one exponent scale)."""
     if a.n_cols != u.n_cols:
         raise ShapeError("A has %d columns, U vectors have length %d"
                          % (a.n_cols, u.n_cols))
