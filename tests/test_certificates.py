@@ -1,21 +1,33 @@
-"""An independent checker for the certificates of the membership routes
-and of tls_membership.
+"""An independent checker for the certificates of the membership routes,
+of quotient_check and flag_mode_check, and of tls_membership.
 
 Each certificate is checked against its definition, from raw values:
 ``ValuatedMatroid.value`` gives a Fraction or None (infinity) per subset,
 and the arrow's tropical matrix gives one per entry.  The checker builds
 its own cocircuits, circuits and matrix images and calls none of the
 library's kernels.  Relation certificates are checked on arrows between
-two distinct vertices, where no two terms of a relation merge.
+two distinct vertices, where no two terms of a relation merge.  Exchange
+triples, of one matroid or of a pair, are also checked to be the
+lexicographically least violation, found by walking every triple.
 """
 
 import random
 from collections import Counter
 from itertools import combinations
 
-from tropquiver import TropVector, qdr_cross_check, tls_membership
+from tropquiver import (
+    FieldMatrix,
+    TropVector,
+    flag_mode_check,
+    pluecker_valuations,
+    qdr_cross_check,
+    quotient_check,
+    tls_membership,
+)
+from tropquiver.errors import NotARealizationError
 
-from helpers import rand_trop_value
+from helpers import rand_realization, rand_trop_value
+from test_exchange_reference import _perturbed
 from test_membership_properties import random_loop_instance
 from test_qdr_reference import perturbed_chain_instance, rand_matroid, random_arrow_instance
 
@@ -34,17 +46,27 @@ def add(*xs):
     return None if None in xs else sum(xs)
 
 
-def violates_exchange(m, i_set, j_set, i):
-    """Does (I, J, i) break m(I) + m(J) >= min over j in J - I of
-    m(I - i + j) + m(J - j + i)?"""
-    lhs = add(val(m, i_set), val(m, j_set))
+def violates_exchange(mu, nu, i_set, j_set, i):
+    """Does (I, J, i) break mu(I) + nu(J) >= min over j in J - I of
+    mu(I - i + j) + nu(J - j + i)?  With mu = nu this is the exchange axiom
+    of one matroid; with rank(mu) <= rank(nu), the quotient condition."""
+    lhs = add(val(mu, i_set), val(nu, j_set))
     if lhs is None or i not in i_set or i in j_set:
         return False
     for j in set(j_set) - set(i_set):
-        other = add(val(m, set(i_set) - {i} | {j}), val(m, set(j_set) - {j} | {i}))
+        other = add(val(mu, set(i_set) - {i} | {j}), val(nu, set(j_set) - {j} | {i}))
         if other is not None and other <= lhs:
             return False
     return True
+
+
+def least_violation(mu, nu):
+    """The lexicographically least violating (I, J, i), or None, from every
+    r-subset I, s-subset J and i in I."""
+    ground = range(1, mu.n + 1)
+    return next((t for t in ((i_set, j_set, i) for i_set in combinations(ground, mu.r)
+                             for j_set in combinations(ground, nu.r) for i in i_set)
+                 if violates_exchange(mu, nu, *t)), None)
 
 
 def relation_has_unique_minimum(a, mu, nu, i_set, j_set):
@@ -95,8 +117,8 @@ def containment_escapes(a, mu, nu, c_star, circ):
 def certificate_holds(rep, mus, cert):
     kind = cert[0]
     if kind == "matroid":
-        _, v, (i_set, j_set, i) = cert
-        return violates_exchange(mus[v], i_set, j_set, i)
+        _, v, triple = cert
+        return triple == least_violation(mus[v], mus[v])
     arrow = rep.arrows[cert[1]]
     a, mu, nu = rep.trop_matrix(cert[1]), mus[arrow.src], mus[arrow.dst]
     if kind == "relation":
@@ -142,3 +164,44 @@ def test_every_tls_membership_certificate_checks_out():
         assert any(projectively_equal(circ, c) for c in circuit_vectors(m)), (m, x, circ)
         assert unique_minimum([add(c, p) for c, p in zip(circ, point)]), (m, x, circ)
     assert rejected >= 50, rejected
+
+
+def flags(rng):
+    """Flags of two or three valuated matroids of nested row spans, as
+    they are and with one member perturbed (then often not a flag)."""
+    out = []
+    for k in range(150):
+        n = rng.randint(3, 6)
+        ranks = sorted(rng.sample(range(1, n), 3 if k % 3 == 0 and n > 3 else 2))
+        u, top = rand_realization(rng, ranks[-1], n)
+        lows = [FieldMatrix(u.rows[:r]) for r in ranks[:-1]]
+        try:
+            mus = [pluecker_valuations(m) for m in lows] + [top]
+        except NotARealizationError:  # a leading block of u without full row rank
+            continue
+        out.append(mus)
+        bad = list(mus)
+        j = rng.randrange(len(bad))
+        bad[j] = _perturbed(rng, bad[j])
+        out.append(bad)
+    return out
+
+
+def test_every_quotient_and_flag_certificate_checks_out():
+    rng = random.Random(20261023)
+    verdicts = Counter()
+    for mus in flags(rng):
+        steps = [least_violation(mu, nu) for mu, nu in zip(mus, mus[1:])]
+        for (mu, nu), least in zip(zip(mus, mus[1:]), steps):
+            ok, cert = quotient_check(mu, nu)
+            assert (ok, cert) == (least is None, least), (mu, nu)
+            verdicts["quotient", ok] += 1
+        ok, cert = flag_mode_check(mus)
+        first = next((k for k, least in enumerate(steps) if least is not None), None)
+        assert ok == (first is None), mus
+        if not ok:
+            k, triple = cert
+            assert k == first and violates_exchange(mus[k], mus[k + 1], *triple), (mus, cert)
+            assert triple == steps[k]
+        verdicts["flag", ok, len(mus)] += 1
+    assert min(verdicts.values()) >= 10 and len(verdicts) == 6, verdicts
