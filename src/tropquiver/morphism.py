@@ -191,8 +191,10 @@ def decompose_weakly_monomial(a: FieldMatrix):
     for i, j in enumerate(_monomial_rows(a, "decomposition")):
         b_row = [F_ZERO] * n
         d_row = [F_ZERO] * n
-        d_row[i] = F_ONE if j is None else a.entry(i, j)
-        if j is not None:
+        if j is None:
+            d_row[i] = F_ONE
+        else:
+            d_row[i] = a.entry(i, j)
             b_row[j] = F_ONE
         b_rows.append(tuple(b_row))
         d_rows.append(tuple(d_row))
