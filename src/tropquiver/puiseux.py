@@ -174,8 +174,8 @@ class FieldMatrix(_Matrix):
         terms = [x._terms for row in rows for x in row]
         # reduce, not lcm(*...): unpacking a generator builds and resizes an
         # argument tuple on every call, which raised peak RSS over long runs
-        scale = reduce(lcm, (e.denominator for t in terms for e in t), 1)
-        coeff = reduce(lcm, (c.denominator for t in terms for c in t.values()), 1)
+        scale = reduce(lcm, {e.denominator for t in terms for e in t}, 1)
+        coeff = reduce(lcm, {c.denominator for t in terms for c in t.values()}, 1)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_coeff", coeff)
         object.__setattr__(self, "_at", tuple(tuple(
