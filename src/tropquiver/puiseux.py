@@ -150,10 +150,12 @@ def valuation(p: PuiseuxElement) -> TropValue:
 
 def _unscaled(terms, exp_scale, coeff_scale):
     """The Puiseux element of int (exponent, coefficient) terms, none zero:
-    exponents over exp_scale, coefficients over coeff_scale, no coercion."""
+    exponents over exp_scale, coefficients over coeff_scale (a scale of 1
+    passed as None, Fraction's faster path for ints), without coercion."""
+    den_e = exp_scale if exp_scale > 1 else None
+    den_c = coeff_scale if coeff_scale > 1 else None
     p = object.__new__(PuiseuxElement)
-    object.__setattr__(p, "_terms", {Fraction(e, exp_scale): Fraction(c, coeff_scale)
-                                     for e, c in terms})
+    object.__setattr__(p, "_terms", {Fraction(e, den_e): Fraction(c, den_c) for e, c in terms})
     return p
 
 
@@ -285,8 +287,7 @@ def det(m: FieldMatrix) -> PuiseuxElement:
 
 
 def rank_via_minors(m: FieldMatrix) -> int:
-    """Size of the largest nonzero minor: each row subset of the stored
-    rows is expanded with its own memo."""
+    """Size of the largest nonzero minor; each row subset has its own memo."""
     _check_cap(m.n_rows, m.n_cols)
     for k in range(min(m.n_rows, m.n_cols), 0, -1):
         for sub in combinations(m._at, k):

@@ -119,8 +119,7 @@ class QuiverRepresentation:
 
 
 def _exp_scale(arrows):
-    """The lcm of the arrows' exponent denominators: a field layer's stored
-    scale, or the denominators of a tropical layer's finite entries."""
+    """The lcm of the arrows' exponent denominators (a field layer's _scale)."""
     return reduce(lcm, [a.field._scale if a.field is not None else
                         reduce(lcm, (x.denominator for _, _, x in a.trop._finite_entries()), 1)
                         for a in arrows], 1)
