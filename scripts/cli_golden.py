@@ -36,7 +36,10 @@ checkout's src/ gives that version's digest.  Everything runs in process:
 - field inputs whose matrices differ in their exponent scales, whose rows
   differ in their coefficient denominators, a field arrow beside a
   tropical one with a third exponent denominator, and a weakly monomial
-  matrix with rational entries (storage_inputs).
+  matrix with rational entries (storage_inputs);
+- realize on a matrix whose leading terms cancel in a maximal minor, and
+  qgr-witness-check on targets whose first nonzero maximal minor is not
+  on their first columns, accepted and rejected (pivot_inputs).
 
 Each output enters the hash as the exact text the command wrote, with
 two edits: the value of elapsed_ms is masked and input paths are reduced
@@ -453,6 +456,38 @@ def storage_inputs():
     ]
 
 
+def pivot_inputs():
+    """n = 4 unless said otherwise:
+    - realize on a 3 x 5 matrix with rows (1, 1 + t, 2, ...) over
+      (1, 1, t, ...) and (0, 0, 1, ...): the leading terms of its minor on
+      columns 1, 2, 3 cancel, and that minor is -t;
+    - qgr-witness-check on an arrow u -> w, ranks (1, 2), whose rational A
+      has its second row twice its first, so that every image and the
+      target w have their second column twice their first and w's minor on
+      columns 1, 2 is zero: accepted, and with another u, whose image is not
+      in rowspan(w), rejected at the arrow (subrepresentation)."""
+    t, c = PuiseuxElement.t_power, PuiseuxElement.monomial
+    cancelling = FieldMatrix([[1, 1 + t(1), 2, t(Fraction(1, 2)), 0],
+                              [1, 1, t(1), 3, -1],
+                              [0, 0, 1, t(1), c(Fraction(1, 2), Fraction(2, 3))]])
+    rng = random.Random("cli_golden:pivot")
+    n = 4
+    while True:
+        rows = [list(r) for r in rational_matrix(rng, n, n).rows]
+        a = FieldMatrix([rows[0], [2 * x for x in rows[0]]] + rows[2:])
+        u, u_out = _full_rank(rng, 1, n), _full_rank(rng, 1, n)
+        extra = list(rational_matrix(rng, 1, n).rows[0])
+        w = FieldMatrix([a.matvec(u.rows[0]), [extra[0], 2 * extra[0]] + extra[2:]])
+        if rank_via_minors(w) == 2 and not classical_containment(a, u_out, w):
+            break
+    arrow = [("u", "w", a, None)]
+    return [
+        ("realize", [("matrix_cancelling", gen.enc_field(cancelling))]),
+        _witness_case("pivot", n, arrow, {"u": 1, "w": 2}, {"u": u, "w": w}),
+        _witness_case("pivot_bad", n, arrow, {"u": 1, "w": 2}, {"u": u_out, "w": w}),
+    ]
+
+
 _ELAPSED = re.compile(r'"elapsed_ms": [^,\n]*')
 
 
@@ -506,7 +541,7 @@ def records(seeds):
         inputs += [(command, files) for command, files, _ in EXIT_2]
         for command, files in (inputs + exchange_inputs() + rational_inputs() + mixed_scale_inputs()
                                + loop_inputs() + relation_inputs() + witness_inputs()
-                               + storage_inputs()):
+                               + storage_inputs() + pivot_inputs()):
             argv = command.split()
             for name, data in files:
                 argv.append(os.path.join(directory, name + ".json"))
