@@ -1,23 +1,22 @@
 """Exact arithmetic in finite Puiseux polynomials over the rationals.
 
-An element is a finite sum of c * t**e with rational c and rational e.
-All operations are ring operations (no division).  A FieldMatrix is stored
-once, by its constructor, over ints: exponents times the lcm N of all its
-exponent denominators, coefficients times the lcm L of all its coefficient
-denominators, one L for the whole matrix.  Its rows and entries are views
-converted back exactly by one converter, _unscaled.  The maximal minors
-behind determinants, ranks, Pluecker valuations and containment come from
-one memoized Laplace expansion of those ints under one size cap, SIZE_CAP:
-a k x k minor is an {int: int} map equal to the true minor times L**k,
-with exponents times N; matrices read together are first moved to one N.
-A Pluecker valuation is the least scaled exponent over N.  A memo, keyed
-by columns, holds the minors of one matrix's bottom rows, maximal ones
-included.  The containment kernel puts each image row A*u on top of V's
-rows, so V's minors are expanded once per memo and shared by every image
-row; the witness check keeps one memo per vertex for all its arrows and its
-Pluecker valuations.  The valuation of an element is its least exponent;
-zero has valuation infinity.  FieldMatrix shares trop's matrix base with
-TropMatrix and gives val(A)'s finite entries without building a TropValue.
+An element is a finite sum of c * t**e with rational c and rational e;
+operations are ring operations (no division).  Its valuation is its least
+exponent, infinity for zero.  A FieldMatrix is stored once, over ints:
+exponents times the lcm N of its exponent denominators, coefficients times
+one lcm L of its coefficient denominators.  Its rows and entries are views
+converted back by _unscaled; it shares trop's matrix base with TropMatrix.
+Exact minors come from one memoized Laplace expansion of those ints,
+_expand, under one size cap, SIZE_CAP: a k x k minor is an {int: int} map,
+the true minor times L**k with exponents times N, on one N for matrices
+read together.  A memo keyed by columns holds the minors of one matrix's
+bottom rows; the witness check keeps one per vertex.  A rank check returns
+the pivot columns K of the first nonzero maximal minor, so A*u lies in
+rowspan(V) iff the n - s minors of [A*u; V] on K and one more column
+vanish.  A Pluecker valuation, a least exponent over N, is read from the
+memo or from the minor's initial form (_initial, on leading terms), whose
+tropical determinant it is unless the leading terms cancel; then the minor
+is expanded exactly.
 """
 
 from __future__ import annotations
@@ -264,17 +263,20 @@ def _minors(rows, n_cols, memo=None):
         yield cols, minor
 
 
-def _full_row_rank(rows, n_cols, memo=None) -> bool:
-    """Some maximal minor of the scaled rows is nonzero; stops at the first
-    one."""
-    return any(minor for _, minor in _minors(rows, n_cols, memo))
+def _pivot(rows, n_cols, memo=None):
+    """The columns of the scaled rows' first nonzero maximal minor, or None
+    if they lack full row rank; stops at that minor."""
+    return next((cols for cols, minor in _minors(rows, n_cols, memo) if minor), None)
 
 
 def _check_rank(rows, memo, message):
-    """The cap of the scaled rows, then UsageError(message) unless of full row rank."""
+    """The cap of the scaled rows, then UsageError(message) unless of full
+    row rank.  Returns their pivot columns K (_pivot), which are independent."""
     _check_cap(len(rows), len(rows[0]))
-    if not _full_row_rank(rows, len(rows[0]), memo):
+    pivot = _pivot(rows, len(rows[0]), memo)
+    if pivot is None:
         raise UsageError(message)
+    return pivot
 
 
 def det(m: FieldMatrix) -> PuiseuxElement:
@@ -291,7 +293,7 @@ def rank_via_minors(m: FieldMatrix) -> int:
     _check_cap(m.n_rows, m.n_cols)
     for k in range(min(m.n_rows, m.n_cols), 0, -1):
         for sub in combinations(m._at, k):
-            if _full_row_rank(sub, m.n_cols):
+            if _pivot(sub, m.n_cols) is not None:
                 return k
     return 0
 
@@ -299,21 +301,62 @@ def rank_via_minors(m: FieldMatrix) -> int:
 def pluecker_valuations(m: FieldMatrix):
     """Valuated matroid of the row span: subset I of columns maps to the
     valuation of the corresponding maximal minor.  Requires full row rank."""
-    return _valuations(m._at, m.n_cols, m._scale)
+    return _valuations(m._at, m.n_cols, m._scale, {(): {0: 1}})
 
 
-def _valuations(rows, n_cols, exp_scale, memo=None):
+def _valuations(rows, n_cols, exp_scale, memo):
     """pluecker_valuations of rows scaled with exponent scale N: a minor's
-    valuation is its least exponent over N.  Its maximal minors come from
-    memo, or are expanded there (_minors)."""
+    valuation is its least exponent over N.  A maximal minor is read from
+    memo if it is there.  Otherwise its initial form (L, c) is taken
+    (_initial): the minor has no exponent below L and its coefficient at L
+    is c, so its valuation is L/N if c != 0.  If the leading terms cancel
+    (c = 0), the minor is expanded exactly and kept in memo (_expand)."""
     if len(rows) > n_cols:
         raise NotARealizationError("more rows than columns")
     _check_cap(len(rows), n_cols)
-    values = {tuple(c + 1 for c in cols): Fraction(min(minor), exp_scale)
-              for cols, minor in _minors(rows, n_cols, memo) if minor}
+    lead = [[min(x.items()) if x else None for x in row] for row in rows]
+    initial = {(): (0, 1)}
+    values = {}
+    for cols in combinations(range(n_cols), len(rows)):
+        minor = memo.get(cols)
+        if minor is None:
+            form = _initial(lead, initial, cols)
+            if form is None:
+                continue
+            if form[1]:
+                values[tuple(c + 1 for c in cols)] = Fraction(form[0], exp_scale)
+                continue
+            minor = memo[cols] = _expand(rows, memo, cols)
+        if minor:
+            values[tuple(c + 1 for c in cols)] = Fraction(min(minor), exp_scale)
     if not values:
         raise NotARealizationError("matrix is not of full row rank")
     return ValuatedMatroid(n_cols, len(rows), values)
+
+
+def _initial(lead, memo, cols):
+    """The initial form (L, c) of the minor on cols of the bottom len(cols)
+    rows of lead, their entries' leading terms (least scaled exponent, its
+    coefficient) or None for zero; the memo is keyed as _expand's.  L is the
+    tropical determinant, by the min-plus Laplace step, and c, the minor's
+    coefficient at L, sums the signed leading-coefficient products of the
+    terms that attain L.  None if every term contains a zero entry."""
+    row = lead[len(lead) - len(cols)]
+    low = coeff = None
+    for k, j in enumerate(cols):
+        if row[j]:
+            rest = cols[:k] + cols[k + 1 :]
+            if rest not in memo:
+                memo[rest] = _initial(lead, memo, rest)
+            sub = memo[rest]
+            if sub is not None:
+                e = row[j][0] + sub[0]
+                term = row[j][1] * sub[1] if k % 2 == 0 else -row[j][1] * sub[1]
+                if low is None or e < low:
+                    low, coeff = e, term
+                elif e == low:
+                    coeff += term
+    return None if low is None else (low, coeff)
 
 
 def classical_containment(a: FieldMatrix, u: FieldMatrix, v: FieldMatrix) -> bool:
@@ -341,18 +384,20 @@ def _scaled_system(matrices):
 
 def _contained(a_rows, u_rows, u_memo, v_rows, v_memo):
     """classical_containment on a _scaled_system: A's rows, U and V with
-    their minor memos (one memo if U is V).  Each image row goes on top of V's
-    rows and the (s+1)-minors are expanded along it with V's memo, whose
-    keys of at most s = len(v_rows) columns name V's bottom rows either way,
-    so V's minors are expanded once per memo and each (s+1)-minor costs s+1
-    products.  The checks run in this order: the cap of U, U's rank, the
-    cap of V, V's rank, the cap of the stacked (s+1) x n shape."""
+    their minor memos (one memo if U is V).  V's pivot columns K
+    (_check_rank) are independent in [A*u; V], so A*u lies in rowspan(V) iff
+    its (s+1)-minors on K + {j} vanish for the n - s columns j not in K,
+    s = len(v_rows).  Each is expanded along the image row with V's memo,
+    whose keys of at most s columns name V's bottom rows either way, so V's
+    minors are expanded once per memo.  The checks run in this order: the
+    cap of U, U's rank, the cap of V, V's rank, the cap of the stacked shape."""
     n_v = len(v_rows[0])
     _check_rank(u_rows, u_memo, "U and V must have full row rank")
-    _check_rank(v_rows, v_memo, "U and V must have full row rank")
+    pivot = _check_rank(v_rows, v_memo, "U and V must have full row rank")
     _check_cap(len(v_rows) + 1, n_v)
+    stacked_cols = [tuple(sorted(pivot + (j,))) for j in range(n_v) if j not in pivot]
     for row in u_rows:
         stacked = (_image(a_rows, row),) + v_rows
-        if any(_expand(stacked, v_memo, cols) for cols in combinations(range(n_v), len(stacked))):
+        if any(_expand(stacked, v_memo, cols) for cols in stacked_cols):
             return False
     return True

@@ -15,7 +15,7 @@ does at an arrow's end (rank_check below).
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from itertools import combinations
 
 from tropquiver import (
     FieldMatrix,
@@ -31,10 +31,11 @@ from tropquiver import (
 )
 from tropquiver import puiseux
 from tropquiver.errors import TropquiverError, UsageError
-from tropquiver.puiseux import ZERO, classical_containment, rank_via_minors
+from tropquiver.puiseux import ZERO, classical_containment, det, rank_via_minors
 from tropquiver.quiver import _validate_tuple
 
 from test_minor_reference import rational_matrix
+from test_pivot_reference import leading_terms_cancel
 
 
 def is_subrepresentation(rep: QuiverRepresentation, candidate):
@@ -230,7 +231,11 @@ def test_each_minor_is_expanded_once_per_witness_check(monkeypatch):
     expanded twice in one accepted witness check, though w is the target
     of two containments and has its valuations taken.  Integer exponents
     and coefficients keep every scale 1, so equal rows have equal keys
-    however often they are scaled."""
+    however often they are scaled.  The maximal minors of w asked for are
+    exactly those of the rank check, up to w's first nonzero one, on the
+    pivot columns K, those on (K + {j}) - {k} that the stacked minors on
+    K + {j} expand along the image row, and those whose leading terms
+    cancel, which the valuations expand exactly."""
     rng = random.Random(20241021)
 
     def positive():
@@ -247,6 +252,13 @@ def test_each_minor_is_expanded_once_per_witness_check(monkeypatch):
                                {"u": 1, "x": 1, "w": 3})
     witness = {"u": u, "x": x, "w": w}
     mus = {v: pluecker_valuations(m) for v, m in witness.items()}
+    triples = list(combinations(range(n), 3))
+    pivot = next(cols for cols in triples
+                 if det(FieldMatrix([[r[j] for j in cols] for r in w.rows])) != ZERO)
+    asked = set(triples[:triples.index(pivot) + 1])
+    asked |= {tuple(sorted((set(pivot) | {j}) - {k})) for j in range(n) if j not in pivot
+              for k in pivot + (j,)}
+    cancelling = {cols for cols in triples if leading_terms_cancel(w, cols)}
     keys = []
     expand = puiseux._expand
 
@@ -259,8 +271,8 @@ def test_each_minor_is_expanded_once_per_witness_check(monkeypatch):
     assert lib_trop_qgr_witness_check(rep, mus, witness) == (True, None)
     monkeypatch.setattr(puiseux, "_expand", expand)
     counts = Counter(keys)
-    maximal = [k for k in counts if len(k[0]) == 3 and len(k[1]) == 3]
-    assert len(maximal) == comb(n, 3)  # every maximal minor of w was asked for
+    maximal = {k[1] for k in counts if len(k[0]) == 3 and len(k[1]) == 3}
+    assert maximal == asked | cancelling
     assert max(counts.values()) == 1, [k[1] for k, c in counts.items() if c > 1]
 
 
