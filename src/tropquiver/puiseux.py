@@ -80,16 +80,15 @@ class PuiseuxElement:
         return sorted(self._terms.items())
 
     def __add__(self, other):
-        other = _coerce(other)
         out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return PuiseuxElement(out)
+        for e, c in _coerce(other)._terms.items():
+            out[e] = out.get(e, 0) + c
+        return _element({e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxElement({e: -c for e, c in self._terms.items()})
+        return _element({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -97,7 +96,7 @@ class PuiseuxElement:
     def __mul__(self, other):
         out = {}
         _mul_add(out, self._terms, _coerce(other)._terms)
-        return PuiseuxElement(out)
+        return _element({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -147,15 +146,20 @@ def valuation(p: PuiseuxElement) -> TropValue:
     return TropValue(min(p._terms))
 
 
+def _element(terms):
+    """The Puiseux element of a {Fraction: nonzero Fraction} map, uncopied."""
+    p = object.__new__(PuiseuxElement)
+    object.__setattr__(p, "_terms", terms)
+    return p
+
+
 def _unscaled(terms, exp_scale, coeff_scale):
     """The Puiseux element of int (exponent, coefficient) terms, none zero:
     exponents over exp_scale, coefficients over coeff_scale (a scale of 1
     passed as None, Fraction's faster path for ints), without coercion."""
     den_e = exp_scale if exp_scale > 1 else None
     den_c = coeff_scale if coeff_scale > 1 else None
-    p = object.__new__(PuiseuxElement)
-    object.__setattr__(p, "_terms", {Fraction(e, den_e): Fraction(c, den_c) for e, c in terms})
-    return p
+    return _element({Fraction(e, den_e): Fraction(c, den_c) for e, c in terms})
 
 
 @dataclass(frozen=True, init=False, repr=False)

@@ -52,6 +52,15 @@ class TestArithmetic:
         assert p - p == zero
         assert (p * zero).is_zero
 
+    def test_cancelling_results_store_no_zero_coefficient(self):
+        x = PuiseuxElement({Fraction(1, 2): Fraction(-2, 3), 2: 5})
+        for got in (x + (-x), x - x, -x + x, x * x - x * x, x * zero):
+            assert got == zero and got.is_zero and got._terms == {}
+        # (1 + t)(1 - t): the two t terms cancel
+        got = (one + t) * (one - t)
+        assert got._terms == {0: 1, 2: -1}
+        assert all(type(k) is Fraction and type(c) is Fraction for k, c in got._terms.items())
+
     def test_rational_exponents(self):
         h = PuiseuxElement.t_power(Fraction(1, 2))
         assert h * h == t
