@@ -138,7 +138,10 @@ def puiseux_from_json(data) -> PuiseuxElement:
 
 
 def field_matrix_to_json(m: FieldMatrix):
-    return [[puiseux_to_json(e) for e in row] for row in m.rows]
+    """puiseux_to_json of each entry, from the stored ints without a view."""
+    return [[[{"c": rational_to_json(Fraction(c, m._coeff)),
+               "e": rational_to_json(Fraction(e, m._scale))} for e, c in sorted(x.items())]
+             for x in row] for row in m._at]
 
 
 def field_matrix_from_json(data) -> FieldMatrix:

@@ -20,6 +20,7 @@ from tropquiver import (
     QuiverRepresentation,
     RepArrow,
     classical_containment,
+    decompose_weakly_monomial,
     det,
     is_weakly_monomial,
     pluecker_valuations,
@@ -30,6 +31,7 @@ from tropquiver import (
 )
 from tropquiver import quiver
 from tropquiver.errors import TropquiverError
+from tropquiver.jsonio import field_matrix_to_json
 
 from helpers import rand_weakly_monomial
 from test_minor_reference import rational_matrix
@@ -152,6 +154,7 @@ def guarded_calls(rng):
         others = {"u": mus["u"], "w": pluecker_valuations(other)}
         square = rational_matrix(rng, 3, 3)
         monomial, _ = rand_weakly_monomial(rng, 4)
+        decomposed = decompose_weakly_monomial(monomial)
         calls += [
             ("pluecker_valuations", lambda w=w: pluecker_valuations(w)),
             ("rank_via_minors", lambda m=other: rank_via_minors(m)),
@@ -165,6 +168,8 @@ def guarded_calls(rng):
              trop_qgr_witness_check(rep, mus, {"u": u, "w": m})),
             ("is_weakly_monomial", lambda m=monomial: is_weakly_monomial(m)),
             ("is_weakly_monomial", lambda m=square: is_weakly_monomial(m)),
+            ("field_matrix_to_json",  # monomial-decompose's output
+             lambda ms=decomposed: [field_matrix_to_json(m) for m in ms]),
         ]
         for r in (rep, loop):
             for tup in (mus, others):
