@@ -39,7 +39,11 @@ checkout's src/ gives that version's digest.  Everything runs in process:
   matrix with rational entries (storage_inputs);
 - realize on a matrix whose leading terms cancel in a maximal minor, and
   qgr-witness-check on targets whose first nonzero maximal minor is not
-  on their first columns, accepted and rejected (pivot_inputs).
+  on their first columns, accepted and rejected (pivot_inputs);
+- relations on one vertex with a loop, where the vertex's relations repeat
+  (the four copies of each three-term relation) and loop relations dedupe
+  against them, and check-matroid on tables whose failing relations all
+  have three terms, or all have more (vertex_inputs).
 
 Each output enters the hash as the exact text the command wrote, with
 two edits: the value of elapsed_ms is masked and input paths are reduced
@@ -488,6 +492,56 @@ def pivot_inputs():
     ]
 
 
+def _diagonal(entries):
+    """A field matrix in JSON with the given diagonal entries, zero elsewhere."""
+    n = len(entries)
+    return _field([[entries[i] if i == j else {} for j in range(n)] for i in range(n)])
+
+
+def _loop(n, rank, **matrix):
+    return {"n": n, "vertices": ["v"], "dim": {"v": rank}, "arrows": [
+        dict({"src": "v", "dst": "v"}, **matrix)]}
+
+
+def vertex_inputs():
+    """Relations of one matroid under the identity, which repeat: each
+    three-term relation shows up as four (I, J) pairs.
+    - relations on a rank-2 vertex at n = 5 with the field identity loop,
+      each of whose relations is a multiple of a three-term relation of the
+      vertex; with the loop diag(1, 1 + t, 1, 1, 1), whose relations
+      through element 2 are not; and on a rank-3 vertex at n = 6 with a
+      tropical loop (a diagonal and one entry off it);
+    - check-matroid on a lowered rank-3 table at n = 6 whose lowered basis
+      {1, 2, 3} has a complement {4, 5, 6} that is no basis, so that every
+      failing relation has three terms (the relation walk decides: 19
+      bases), and on the table with bases {1, 2, 3} and {4, 5, 6} only,
+      whose failing relations, I two elements of one basis and J their
+      complement, have four terms each.  No lowered table fails only relations of four or more terms:
+      its support is a matroid, and on a matroid support a failing relation
+      implies a failing three-term one (Dress-Wenzel)."""
+    one = {"0": "1"}
+    rng = random.Random("cli_golden:three_term")
+    while True:
+        rows = [list(r) for r in rational_matrix(rng, 3, 6).rows]
+        rows[2][3:] = [0, 0, 0]  # columns 4, 5, 6 in a plane: {4, 5, 6} is no basis
+        m = FieldMatrix(rows)
+        if rank_via_minors(m) == 3:
+            break
+    trop = [["inf"] * 6 for _ in range(6)]
+    for i, x in enumerate(["0", "1/2", "0", "-1", "0", "2"]):
+        trop[i][i] = x
+    trop[0][1] = "3"
+    return [
+        ("relations", [("identity_loop5", _loop(5, 2, matrix_field=_diagonal([one] * 5)))]),
+        ("relations", [("diag_loop5", _loop(5, 2, matrix_field=_diagonal(
+            [one, {"0": "1", "1": "1"}, one, one, one])))]),
+        ("relations", [("trop_loop6", _loop(6, 3, matrix_trop=trop))]),
+        ("check-matroid", [("three_term6_lowered",
+                            gen.enc_matroid(6, 3, gen.lowered(gen.table(pluecker_valuations(m)))))]),
+        ("check-matroid", [("two_bases6", gen.enc_matroid(6, 3, {(1, 2, 3): 0, (4, 5, 6): 0}))]),
+    ]
+
+
 _ELAPSED = re.compile(r'"elapsed_ms": [^,\n]*')
 
 
@@ -541,7 +595,7 @@ def records(seeds):
         inputs += [(command, files) for command, files, _ in EXIT_2]
         for command, files in (inputs + exchange_inputs() + rational_inputs() + mixed_scale_inputs()
                                + loop_inputs() + relation_inputs() + witness_inputs()
-                               + storage_inputs() + pivot_inputs()):
+                               + storage_inputs() + pivot_inputs() + vertex_inputs()):
             argv = command.split()
             for name, data in files:
                 argv.append(os.path.join(directory, name + ".json"))
