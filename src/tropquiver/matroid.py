@@ -14,7 +14,8 @@ of val(A_ij) + c_j + C_i, over a cocircuit-side c and a circuit-side C,
 attained twice, counting every term (relations, and under the identity the
 exchange axiom and quotients) or each target index i once
 (containment_check, whose circuit half is tls_membership, and circuits,
-cocircuits)?  The exchange loop over pairs of finite bases names the
+cocircuits)?  The exchange axiom of one matroid walks each relation once
+(_unrepeated).  The exchange loop over pairs of finite bases names the
 certificate of a rejection and decides sparse tables, whose pairs of bases
 are fewer than their relations.  Every walk over subsets, or pairs of
 subsets or bases, is counted before it starts, against WALK_CAP.
@@ -150,7 +151,9 @@ def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
     condition.  Conversely a unique finite minimum of relation (I', J') at
     j0 is the violating triple (I' + j0, J' - j0, j0).  So the relation
     walk of the identity arrow (_unique_minimum, not grouped) decides on
-    any tables; the two walks differ only in order.
+    any tables; the two walks differ only in order.  When mu is nu it
+    walks only the pairs _unrepeated keeps (700 of 1960 at n = 8, rank 3
+    or 5); the others hold on every table or repeat a pair walked before.
 
     The pairs of finite bases are counted against WALK_CAP first.  When
     the relation pairs, C(n, r - 1) * C(n, s + 1), are fewer, the relation
@@ -164,15 +167,16 @@ def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
     (rank(mu) = 0 or rank(nu) = n), when there is no relation and no triple
     and the relation walk returns at once; so the pairs of bases bound
     every subset the relation walk builds.  The choice weighs a relation
-    pair and a pair of bases alike, which is a balance, not a cost: on an
-    accepting table a relation pair is the cheaper, but a rejection runs
-    both walks, so at equal counts the relation walk gains on an accept
-    about what it loses on a rejection.
+    pair and a pair of bases alike, skipped pairs counted too, which is a
+    balance, not a cost: on an accepting table a relation pair is the
+    cheaper, but a rejection runs both walks, so at equal counts the
+    relation walk gains on an accept about what it loses on a rejection.
     """
     base_pairs = len(mu._at) * len(nu._at)
     check_walk("exchange check", base_pairs, "pairs of bases")
     by_relations = subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1) < base_pairs
-    if by_relations and _unique_minimum(TropMatrix.identity(mu.n), mu, nu, grouped=False) is None:
+    if by_relations and _unique_minimum(TropMatrix.identity(mu.n), mu, nu, grouped=False,
+                                        pick=_unrepeated if mu is nu else None) is None:
         return None
     _, (mu_at, nu_at) = _int_tables((mu, nu))
     left, right = (sorted((_members(b, m.n), b, x) for b, x in at.items())
@@ -225,33 +229,49 @@ def _int_tables(matroids, extra=()):
                    for m in matroids]
 
 
+def _unrepeated(i_mask, items):
+    """The items, each (J, J's bitmask, ...), whose relation (I, J) of one
+    matroid under the identity neither holds on every table nor repeats an
+    earlier one.  With A = I - J and B = J - I its terms are
+    m(I + b) + m(J - b), b in B.  For A empty the two terms are equal.  For
+    A = {a} they are those of the three-term relation of I & J and A + B,
+    as for each of the four choices of a in A + B; the first in walk order,
+    a < min(B), is kept.  For |A| >= 2 the monomials determine
+    (I & J, A, B), so no two such relations share them."""
+    # d is A: keep |A| >= 2, or A = {a} with no element of B below a
+    return [t for t in items if (d := i_mask & ~t[1]) & (d - 1) or not t[1] & ~i_mask & (d - 1)]
+
+
 def _subset_vectors(n, size, at, members, grouped):
-    """(S, vector) for each size-subset S of [n] in combinations order,
-    the vector as the dict of its finite entries, from a matroid given as
+    """(S, mask, vector) for each size-subset S of [n] in combinations
+    order, the vector as the dict of its finite entries, from a matroid as
     {bitmask: int}: with members, the circuit C_i = m(S - i) at i in S
     (size r + 1); without, the cocircuit c_j = m(S + j) at j outside S
     (size r - 1).  Empty vectors are dropped.  grouped keeps one vector per
     projective class, the first S's, sorted by raw entries with infinity
     last: the order of circuits() and cocircuits()."""
     ground = range(1, n + 1)
+    bits = [1 << e for e in ground]
     out = []
-    for s in combinations(ground, size) if size >= 0 else ():
-        mask = _mask(s)
-        vec = {e: at[mask ^ 1 << e] for e in ground
-               if (mask >> e & 1) == members and mask ^ 1 << e in at}
+    for s, s_bits in zip(combinations(ground, size), combinations(bits, size)) if size >= 0 else ():
+        mask = sum(s_bits)
+        if members:
+            vec = {e: at[b] for e in s if (b := mask ^ 1 << e) in at}
+        else:
+            vec = {e: at[b] for e in ground if not mask >> e & 1 and (b := mask | 1 << e) in at}
         if vec:
-            out.append((s, vec))
+            out.append((s, mask, vec))
     if grouped:
-        classes = {}  # projective class -> its first (S, vector)
-        for s, vec in out:
+        classes = {}  # projective class -> its first (S, mask, vector)
+        for s, mask, vec in out:
             low = min(vec.values())
-            classes.setdefault(tuple((e, x - low) for e, x in vec.items()), (s, vec))
+            classes.setdefault(tuple((e, x - low) for e, x in vec.items()), (s, mask, vec))
         out = sorted(classes.values(), key=lambda item: tuple(
-            (0, item[1][e]) if e in item[1] else (1, 0) for e in ground))
+            (0, item[2][e]) if e in item[2] else (1, 0) for e in ground))
     return out
 
 
-def _unique_minimum(a, mu: ValuatedMatroid, nu: ValuatedMatroid, grouped):
+def _unique_minimum(a, mu: ValuatedMatroid, nu: ValuatedMatroid, grouped, pick=None):
     """The first pair, in walk order, of a cocircuit-side vector c_I of mu
     and a circuit-side vector C_J of nu whose terms val(A_ij) + c_j + C_i
     have a finite minimum attained once, as ((I, c_I), (J, C_J)) with
@@ -265,7 +285,9 @@ def _unique_minimum(a, mu: ValuatedMatroid, nu: ValuatedMatroid, grouped):
     and circuits(), in their order: the test of the image val(A) (.) c*
     against nu's circuits.  For each I the terms are grouped by i into
     (minimum over j, how many j attain it); each J then combines the groups
-    of its entries in O(|J|).
+    of its entries in O(|J|).  pick, given I's bitmask and the circuit
+    side, returns the J walked with that I: _exchange_violation passes
+    _unrepeated when mu is nu.
     """
     if not subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1):
         return None  # rank(mu) = 0 or rank(nu) = n: no pair, so no vector is built
@@ -275,7 +297,8 @@ def _unique_minimum(a, mu: ValuatedMatroid, nu: ValuatedMatroid, grouped):
     for i, j, x in entries:
         columns.setdefault(j, []).append((i, x.numerator * (scale // x.denominator)))
     targets = _subset_vectors(nu.n, nu.r + 1, nu_at, members=True, grouped=grouped)
-    for i_set, c in _subset_vectors(mu.n, mu.r - 1, mu_at, members=False, grouped=grouped):
+    for i_set, i_mask, c in _subset_vectors(mu.n, mu.r - 1, mu_at, members=False,
+                                             grouped=grouped):
         best = {}  # i -> [min over j of A_ij + c_j, how many j attain it]
         for j, x in c.items():
             for i, a_ij in columns.get(j, ()):
@@ -287,7 +310,7 @@ def _unique_minimum(a, mu: ValuatedMatroid, nu: ValuatedMatroid, grouped):
                     b[1] += 1
         if not best:
             continue
-        for j_set, circ in targets:
+        for j_set, _, circ in targets if pick is None else pick(i_mask, targets):
             low, count = None, 0
             for i, y in circ.items():
                 b = best.get(i)
@@ -334,7 +357,7 @@ def _trop_vector(n, vec, scale):
 def _vectors(m: ValuatedMatroid, size, what, members):
     check_walk(what, subset_count(m.n, size))
     return [_trop_vector(m.n, vec, m._scale)
-            for _, vec in _subset_vectors(m.n, size, m._at, members, grouped=True)]
+            for _, _, vec in _subset_vectors(m.n, size, m._at, members, grouped=True)]
 
 
 def circuits(m: ValuatedMatroid):

@@ -44,6 +44,8 @@ from .errors import ShapeError, UsageError
 from .matroid import (
     WALK_CAP as RELATION_CAP,  # the cap all_relations counts against
     _fractions,
+    _mask,
+    _unrepeated,
     _unique_minimum,
     check_walk,
     containment_check,
@@ -171,7 +173,7 @@ def _add(p, q):
     return tuple(sorted((e, c) for e, c in acc.items() if c)) or None
 
 
-def _relations(n, r, s, src, dst, columns, merge):
+def _relations(n, r, s, src, dst, columns, merge, pick=None):
     """Pluecker relations, over ints, of a matrix M from a rank-r source to
     a rank-s target, given by its columns as _scaled_columns returns them.
     Yields (I, J, terms) for every (r-1)-subset I and (s+1)-subset J with
@@ -179,15 +181,19 @@ def _relations(n, r, s, src, dst, columns, merge):
     (monomial, coefficient) sorted by monomial, the coefficients of one
     monomial merged by merge (classically _add, whose None marks a
     cancelled monomial, dropped here; tropically min).  Relations without
-    terms are skipped."""
+    terms are skipped.  pick, given I's bitmask and the (J, J's bitmask)
+    pairs, returns the J walked with that I; the rest are skipped before
+    any term is built."""
     ground = range(1, n + 1)
+    j_sets = [(j_set, _mask(j_set)) for j_set in combinations(ground, s + 1)]
     for i_set in combinations(ground, r - 1):
+        i_mask = _mask(i_set)
         # per column j outside I: p_{I+j}, and the flips of sign(j;I,J)
         # counted inside I, plus |J| (the flips in J are |J| minus the
         # members of J up to j)
         lefts = [(j, (src, tuple(sorted(i_set + (j,)))), sum(i > j for i in i_set) + s + 1,
                   entries) for j, entries in columns if j not in i_set]
-        for j_set in combinations(ground, s + 1):
+        for j_set, _ in j_sets if pick is None else pick(i_mask, j_sets):
             rights = {i: (dst, j_set[:k] + j_set[k + 1 :]) for k, i in enumerate(j_set)}
             acc = {}
             for j, left, flips, entries in lefts:
@@ -301,13 +307,20 @@ def _kept_relations(rep: QuiverRepresentation):
     all_relations keeps them and in its order: yields (kind, where, I, J,
     terms, exp_scale, coeff_scale), terms as _relations yields them, with
     exponents times exp_scale and coefficients times coeff_scale (None for
-    the tropical layer).  The cap is checked at the first next()."""
+    the tropical layer).  The cap is checked at the first next(), counting
+    every (I, J) pair.
+
+    A vertex's relations walk only the pairs matroid._unrepeated keeps,
+    inside _relations, skipping those whose terms cancel, and three of the four copies of
+    each three-term relation, which are the first copy up to sign.  The
+    rest have pairwise distinct monomials, so they skip the proportionality
+    test; they still enter its buckets, where loop relations meet them."""
     n, dim = rep.n, rep.dim
     pairs = sum(comb(n, dim[v] - 1) * comb(n, dim[v] + 1) for v in rep.vertices)
     check_walk("relation generation", pairs + _arrow_pairs(rep), "(I, J) pairs")
     exp_scale = _exp_scale(rep.arrows)
-    sources = [("vertex", v, _relations(n, dim[v], dim[v], v, v, _identity_columns(n), _add), 1)
-               for v in rep.vertices]
+    sources = [("vertex", v, _relations(n, dim[v], dim[v], v, v, _identity_columns(n), _add,
+                                        _unrepeated), 1) for v in rep.vertices]
     sources += [("arrow", a_idx) + _arrow_relations(rep, a_idx, exp_scale)
                 for a_idx in range(len(rep.arrows))]
     seen_classical = {}  # monomial support -> classical relations kept
@@ -316,7 +329,7 @@ def _kept_relations(rep: QuiverRepresentation):
         for i_set, j_set, terms in relations:
             if coeff_scale is not None:
                 bucket = seen_classical.setdefault(tuple(m for m, _ in terms), [])
-                if any(_proportional(prev, terms) for prev in bucket):
+                if kind == "arrow" and any(_proportional(prev, terms) for prev in bucket):
                     continue
                 bucket.append(terms)
             else:

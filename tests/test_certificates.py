@@ -1,11 +1,12 @@
 """An independent checker for the certificates of the membership routes,
-of quotient_check and flag_mode_check, and of tls_membership.
+of quotient_check, flag_mode_check and is_affine_morphism (morphism-check),
+and of tls_membership.
 
 Each certificate is checked against its definition, from raw values:
 ``ValuatedMatroid.value`` gives a Fraction or None (infinity) per subset,
 and the arrow's tropical matrix gives one per entry.  The checker builds
-its own cocircuits, circuits and matrix images and calls none of the
-library's kernels.  Relation certificates are checked on arrows between
+its own cocircuits, circuits, matrix images and affine induced matroids
+and calls none of the library's kernels.  Relation certificates are checked on arrows between
 two distinct vertices, where no two terms of a relation merge.  Exchange
 triples, of one matroid or of a pair, are also checked to be the
 lexicographically least violation, found by walking every triple.
@@ -18,7 +19,9 @@ from itertools import combinations
 from tropquiver import (
     FieldMatrix,
     TropVector,
+    ValuatedMatroid,
     flag_mode_check,
+    is_affine_morphism,
     pluecker_valuations,
     qdr_cross_check,
     quotient_check,
@@ -26,7 +29,7 @@ from tropquiver import (
 )
 from tropquiver.errors import NotARealizationError
 
-from helpers import rand_realization, rand_trop_value
+from helpers import rand_realization, rand_trop_value, rand_weakly_monomial
 from test_exchange_reference import _perturbed
 from test_membership_properties import random_loop_instance
 from test_qdr_reference import perturbed_chain_instance, rand_matroid, random_arrow_instance
@@ -205,3 +208,57 @@ def test_every_quotient_and_flag_certificate_checks_out():
             assert triple == steps[k]
         verdicts["flag", ok, len(mus)] += 1
     assert min(verdicts.values()) >= 10 and len(verdicts) == 6, verdicts
+
+
+def induced(f, nu):
+    """The affine induced matroid of nu under f, from raw values: nu
+    restricted to the image of f1, by deleting the other elements one at a
+    time in increasing order (an element every basis contains is a coloop
+    and leaves each basis), then each subset B of [n] of the restricted
+    rank on which f1 is injective and avoids o, valued at f1(B) plus the
+    shifts over B.  Returns (rank, {subset: Fraction})."""
+    image = {f.f1[i] for i in range(1, f.n + 1)} - {0}
+    table = {b: val(nu, b) for b in combinations(range(1, nu.n + 1), nu.r)}
+    table = {b: v for b, v in table.items() if v is not None}
+    for e in range(1, nu.n + 1):
+        if e not in image:
+            avoiding = {b: v for b, v in table.items() if e not in b}
+            table = avoiding or {tuple(x for x in b if x != e): v for b, v in table.items()}
+    rank = len(next(iter(table)))
+    values = {}
+    for b in combinations(range(1, f.n + 1), rank):
+        targets = [f.f1[i] for i in b]
+        if 0 not in targets and len(set(targets)) == rank and tuple(sorted(targets)) in table:
+            values[b] = table[tuple(sorted(targets))] + sum(f.f2[i].value for i in b)
+    return rank, values
+
+
+def test_every_morphism_certificate_checks_out():
+    """is_affine_morphism(f, mu, nu) asks whether the induced matroid of nu
+    is a quotient of mu: the certificate is ("rank-order", rank of the
+    induced matroid, rank(mu)) or the least violating exchange triple of
+    the pair (induced, mu).  mu is the induced matroid itself, one of its
+    perturbations, nu, or a random realizable matroid."""
+    rng = random.Random(20261024)
+    verdicts = Counter()
+    for k in range(600):
+        n = rng.randint(2, 5)
+        _, nu = rand_realization(rng, rng.randint(1, n), n)
+        _, f = rand_weakly_monomial(rng, n)
+        rank, values = induced(f, nu)
+        if not values:
+            continue  # no finite basis: the induced table is no matroid
+        own = ValuatedMatroid(n, rank, values)
+        mu = [own, _perturbed(rng, own), nu,
+              rand_realization(rng, rng.randint(1, n), n)[1]][k % 4]
+        ok, cert = is_affine_morphism(f, mu, nu)
+        if rank > mu.r:
+            assert (ok, cert) == (False, ("rank-order", rank, mu.r)), (f, mu, nu)
+            verdicts["rank-order"] += 1
+            continue
+        least = least_violation(own, mu)
+        assert (ok, cert) == (least is None, least), (f, mu, nu)
+        if not ok:
+            assert violates_exchange(own, mu, *cert), (f, mu, nu, cert)
+        verdicts["accepted" if ok else "triple"] += 1
+    assert min(verdicts.values()) >= 20 and len(verdicts) == 3, verdicts

@@ -548,7 +548,7 @@ class TestErrors:
     def test_relation_walk_without_exchange_triple_exits_3(self, write, capsys, monkeypatch):
         # U(3, 2) is a valuated matroid: a failing relation reported by the
         # walk has no violating triple behind it, which is never an accept
-        def spurious(a, mu, nu, grouped):
+        def spurious(a, mu, nu, grouped, pick=None):
             return ((), None), ((), None)
 
         monkeypatch.setattr(matroid, "_unique_minimum", spurious)
