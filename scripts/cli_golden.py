@@ -516,8 +516,9 @@ def vertex_inputs():
       failing relation has three terms (the relation walk decides: 19
       bases), and on the table with bases {1, 2, 3} and {4, 5, 6} only,
       whose failing relations, I two elements of one basis and J their
-      complement, have four terms each.  No lowered table fails only relations of four or more terms:
-      its support is a matroid, and on a matroid support a failing relation
+      complement, have four terms each (the exchange loop decides).  No
+      lowered table fails only relations of four or more terms: its
+      support is a matroid, and on a matroid support a failing relation
       implies a failing three-term one (Dress-Wenzel)."""
     one = {"0": "1"}
     rng = random.Random("cli_golden:three_term")
@@ -536,8 +537,8 @@ def vertex_inputs():
         ("relations", [("diag_loop5", _loop(5, 2, matrix_field=_diagonal(
             [one, {"0": "1", "1": "1"}, one, one, one])))]),
         ("relations", [("trop_loop6", _loop(6, 3, matrix_trop=trop))]),
-        ("check-matroid", [("three_term6_lowered",
-                            gen.enc_matroid(6, 3, gen.lowered(gen.table(pluecker_valuations(m)))))]),
+        ("check-matroid", [("three_term6_lowered", gen.enc_matroid(
+            6, 3, gen.lowered(gen.table(pluecker_valuations(m)))))]),
         ("check-matroid", [("two_bases6", gen.enc_matroid(6, 3, {(1, 2, 3): 0, (4, 5, 6): 0}))]),
     ]
 

@@ -311,10 +311,11 @@ def _kept_relations(rep: QuiverRepresentation):
     every (I, J) pair.
 
     A vertex's relations walk only the pairs matroid._unrepeated keeps,
-    inside _relations, skipping those whose terms cancel, and three of the four copies of
-    each three-term relation, which are the first copy up to sign.  The
-    rest have pairwise distinct monomials, so they skip the proportionality
-    test; they still enter its buckets, where loop relations meet them."""
+    inside _relations: not those whose terms cancel, nor three of the four
+    copies of each three-term relation, which are the first up to sign.
+    The rest have pairwise distinct monomials, so they skip the
+    proportionality test; they still enter its buckets, where loop
+    relations meet them."""
     n, dim = rep.n, rep.dim
     pairs = sum(comb(n, dim[v] - 1) * comb(n, dim[v] + 1) for v in rep.vertices)
     check_walk("relation generation", pairs + _arrow_pairs(rep), "(I, J) pairs")

@@ -3,10 +3,11 @@
 A relation (I, J) of one matroid under the identity has terms
 m(I + b) + m(J - b) for b in B = J - I.  It holds on every table when
 A = I - J is empty, and for A = {a} it is one of four copies of a three-term
-relation.  matroid._unrepeated keeps the other pairs, and both the exchange
-walk of is_valuated_matroid and the vertex relations of
-quiver._kept_relations now walk only those.  ``_subset_vectors`` and ``_unique_minimum`` below are the
-previous kernel, and ``_relations``, ``_arrow_relations`` and
+relation.  matroid._unrepeated keeps the first copy and the pairs with
+|A| >= 2, and both the exchange walk of is_valuated_matroid and the vertex
+relations of quiver._kept_relations now walk only those.
+``_subset_vectors`` and ``_unique_minimum`` below are the previous kernel,
+and ``_relations``, ``_arrow_relations`` and
 ``_kept_relations`` the previous generator, kept verbatim; the other helpers
 they call are unchanged and come from the library.  The kernel with the pick
 must find the same first hit (the first copy of a relation in walk order is
@@ -342,8 +343,9 @@ def test_three_term_copies_agree_and_supports_count_the_vertex_relations():
                 for other_support, other_classical, other_tropical in group[1:]:
                     assert other_support == support
                     assert other_tropical == tropical
-                    assert {tuple(c for _, c in classical),
-                            tuple(-c for _, c in classical)} >= {tuple(c for _, c in other_classical)}
+                    coefficients = tuple(c for _, c in other_classical)
+                    assert coefficients in {tuple(c for _, c in classical),
+                                            tuple(-c for _, c in classical)}
             rep = QuiverRepresentation(n, ["v"], [], {"v": r})
             kept = list(quiver._kept_relations(rep))
             assert len(kept) == len(supports), (n, r)
