@@ -43,7 +43,11 @@ checkout's src/ gives that version's digest.  Everything runs in process:
 - relations on one vertex with a loop, where the vertex's relations repeat
   (the four copies of each three-term relation) and loop relations dedupe
   against them, and check-matroid on tables whose failing relations all
-  have three terms, or all have more (vertex_inputs).
+  have three terms, or all have more (vertex_inputs);
+- check-matroid on tables with full support, whose exchange axiom the
+  three-term relations decide: ranks 1 and n - 1, which have none and are
+  accepted, and a lowered rank-3 table at n = 8, which they reject
+  (full_support_inputs).
 
 Each output enters the hash as the exact text the command wrote, with
 two edits: the value of elapsed_ms is masked and input paths are reduced
@@ -543,6 +547,24 @@ def vertex_inputs():
     ]
 
 
+def full_support_inputs():
+    """check-matroid on tables with full support, whose exchange axiom the
+    three-term relations decide: a rank-1 table with unequal values and a
+    rank-4 table at n = 5, which have no three-term relation and are
+    accepted, and a rank-3 table at n = 8 with one basis lowered, which the
+    three-term relations reject and the exchange loop names the triple of."""
+    rng = random.Random("cli_golden:full_support")
+    corank1 = {b: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+               for b in combinations(range(1, 6), 4)}
+    lo = gen.table(gen.nested_matroids(rng, 8, (3,))[0])
+    return [
+        ("check-matroid", [("rank1_full4", gen.enc_matroid(
+            4, 1, {(1,): 0, (2,): Fraction(1, 2), (3,): -3, (4,): 2}))]),
+        ("check-matroid", [("corank1_full5", gen.enc_matroid(5, 4, corank1))]),
+        ("check-matroid", [("full8_lowered", gen.enc_matroid(8, 3, gen.lowered(lo)))]),
+    ]
+
+
 _ELAPSED = re.compile(r'"elapsed_ms": [^,\n]*')
 
 
@@ -596,7 +618,8 @@ def records(seeds):
         inputs += [(command, files) for command, files, _ in EXIT_2]
         for command, files in (inputs + exchange_inputs() + rational_inputs() + mixed_scale_inputs()
                                + loop_inputs() + relation_inputs() + witness_inputs()
-                               + storage_inputs() + pivot_inputs() + vertex_inputs()):
+                               + storage_inputs() + pivot_inputs() + vertex_inputs()
+                               + full_support_inputs()):
             argv = command.split()
             for name, data in files:
                 argv.append(os.path.join(directory, name + ".json"))
