@@ -14,11 +14,13 @@ of val(A_ij) + c_j + C_i, over a cocircuit-side c and a circuit-side C,
 attained twice, counting every term (relations, and under the identity the
 exchange axiom and quotients) or each target index i once
 (containment_check, whose circuit half is tls_membership, and circuits,
-cocircuits)?  The exchange axiom of one matroid walks each relation once
-(_unrepeated).  The exchange loop over pairs of finite bases names the
-certificate of a rejection and decides sparse tables, whose pairs of bases
-are fewer than their relations.  Every walk over subsets, or pairs of
-subsets or bases, is counted before it starts, against WALK_CAP.
+cocircuits)?  The exchange axiom of one matroid with full support is
+decided by its three-term relations alone (_three_term_failure); on any
+other support it walks each relation once (_unrepeated).  The exchange loop
+over pairs of finite bases names the certificate of a rejection and decides
+sparse tables, whose pairs of bases are fewer than their relations.  Every
+walk over subsets, or pairs of subsets or bases, is counted before it
+starts, against WALK_CAP.
 """
 
 from __future__ import annotations
@@ -130,8 +132,9 @@ def is_valuated_matroid(m: ValuatedMatroid):
     Returns (True, None) or (False, (I, J, i)) with the lexicographically
     least violating triple.  An infinite left-hand side satisfies the
     axiom for free.  The axiom holds exactly when every tropical
-    Grassmann-Pluecker relation of m attains its minimum twice, and the
-    relation walk decides it unless the pairs of bases are fewer; see
+    Grassmann-Pluecker relation of m attains its minimum twice, and on a
+    support that is a matroid when every three-term one does.  The
+    relations decide it unless the pairs of bases are fewer; see
     _exchange_violation.
     """
     witness = _exchange_violation(m, m)
@@ -154,10 +157,14 @@ def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
     any tables; the two walks differ only in order.  When mu is nu it
     walks only the pairs _unrepeated keeps (700 of 1960 at n = 8, rank 3
     or 5); the others hold on every table or repeat a pair walked before.
+    When mu is nu and its support is full, the uniform matroid, the
+    three-term relations alone decide (_three_term_failure: 280
+    comparisons at n = 8, rank 3 or 5), and no vector is built.
 
     The pairs of finite bases are counted against WALK_CAP first.  When
-    the relation pairs, C(n, r - 1) * C(n, s + 1), are fewer, the relation
-    walk decides, and only a rejection runs the exchange loop, for the
+    the relation pairs, C(n, r - 1) * C(n, s + 1), are fewer, as they are
+    on every full support (C(n, r)^2 > C(n, r - 1) * C(n, r + 1)), the
+    relations decide, and only a rejection runs the exchange loop, for the
     certificate; a rejection without a violating triple is a fault of the
     program and raises RuntimeError.  Otherwise the exchange loop decides.
     It walks only pairs of finite bases (an infinite left-hand side never
@@ -175,9 +182,15 @@ def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
     base_pairs = len(mu._at) * len(nu._at)
     check_walk("exchange check", base_pairs, "pairs of bases")
     by_relations = subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1) < base_pairs
-    if by_relations and _unique_minimum(TropMatrix.identity(mu.n), mu, nu, grouped=False,
-                                        pick=_unrepeated if mu is nu else None) is None:
-        return None
+    if by_relations:
+        if mu is nu and len(mu._at) == subset_count(mu.n, mu.r):
+            failing = _three_term_failure(mu)
+        else:
+            identity = [(e, e, 0) for e in range(1, mu.n + 1)]
+            failing = _unique_minimum(identity, mu, nu, grouped=False,
+                                      pick=_unrepeated if mu is nu else None) is not None
+        if not failing:
+            return None
     _, (mu_at, nu_at) = _int_tables((mu, nu))
     left, right = (sorted((_members(b, m.n), b, x) for b, x in at.items())
                    for m, at in ((mu, mu_at), (nu, nu_at)))
@@ -242,6 +255,27 @@ def _unrepeated(i_mask, items):
     return [t for t in items if (d := i_mask & ~t[1]) & (d - 1) or not t[1] & ~i_mask & (d - 1)]
 
 
+def _three_term_failure(m: ValuatedMatroid):
+    """Does some three-term relation of m, whose support is full, have a
+    unique minimum?  For an (r - 2)-subset S and a < b < c < d outside it
+    the terms are m(Sab) + m(Scd), m(Sac) + m(Sbd) and m(Sad) + m(Sbc), all
+    finite.  On a support that is a matroid, as a full one is (the uniform
+    matroid), the table is a valuated matroid exactly when no three-term
+    relation fails (the local exchange theorem: Dress-Wenzel, "Valuated
+    matroids", 1992; Speyer, "Tropical linear spaces", 2008).  Ranks 0, 1,
+    n - 1 and n have no such relation."""
+    at, bits = m._at, [1 << e for e in range(1, m.n + 1)]
+    for s_bits in combinations(bits, m.r - 2) if m.r >= 2 else ():
+        s = sum(s_bits)
+        for a, b, c, d in combinations([e for e in bits if not s & e], 4):
+            x = at[s | a | b] + at[s | c | d]
+            y = at[s | a | c] + at[s | b | d]
+            z = at[s | a | d] + at[s | b | c]
+            if x < y and x < z or y < x and y < z or z < x and z < y:
+                return True
+    return False
+
+
 def _subset_vectors(n, size, at, members, grouped):
     """(S, mask, vector) for each size-subset S of [n] in combinations
     order, the vector as the dict of its finite entries, from a matroid as
@@ -271,12 +305,13 @@ def _subset_vectors(n, size, at, members, grouped):
     return out
 
 
-def _unique_minimum(a, mu: ValuatedMatroid, nu: ValuatedMatroid, grouped, pick=None):
+def _unique_minimum(entries, mu: ValuatedMatroid, nu: ValuatedMatroid, grouped, pick=None):
     """The first pair, in walk order, of a cocircuit-side vector c_I of mu
     and a circuit-side vector C_J of nu whose terms val(A_ij) + c_j + C_i
     have a finite minimum attained once, as ((I, c_I), (J, C_J)) with
-    TropVectors, or None.  A is a TropMatrix or a FieldMatrix, read through
-    the finite entries of val(A) that either gives.
+    TropVectors, or None.  entries are val(A)'s finite entries as 1-based
+    (i, j, rational) triples: a TropMatrix's or a FieldMatrix's
+    _finite_entries(), or the identity's (e, e, 0).
 
     Without grouped these are the terms of the quiver Pluecker relation
     (I, J) of an arrow between two distinct vertices: every term counts,
@@ -287,11 +322,11 @@ def _unique_minimum(a, mu: ValuatedMatroid, nu: ValuatedMatroid, grouped, pick=N
     (minimum over j, how many j attain it); each J then combines the groups
     of its entries in O(|J|).  pick, given I's bitmask and the circuit
     side, returns the J walked with that I: _exchange_violation passes
-    _unrepeated when mu is nu.
+    _unrepeated when mu is nu and its support is not full (a full one goes
+    to _three_term_failure instead).
     """
     if not subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1):
         return None  # rank(mu) = 0 or rank(nu) = n: no pair, so no vector is built
-    entries = a._finite_entries()
     scale, (mu_at, nu_at) = _int_tables((mu, nu), [x for _, _, x in entries])
     columns = {}
     for i, j, x in entries:
@@ -342,7 +377,7 @@ def containment_check(a, mu: ValuatedMatroid, nu: ValuatedMatroid):
     check_walk("containment check",
                subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1),
                "(cocircuit, circuit) pairs")
-    hit = _unique_minimum(a, mu, nu, grouped=True)
+    hit = _unique_minimum(a._finite_entries(), mu, nu, grouped=True)
     if hit is None:
         return True, None
     return False, (hit[0][1], hit[1][1])

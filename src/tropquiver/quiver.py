@@ -409,8 +409,8 @@ def _relation_failure(rep: QuiverRepresentation, mus):
     check_walk("membership by relations", _arrow_pairs(rep), "(I, J) pairs")
     for a_idx, arrow in enumerate(rep.arrows):
         if arrow.src != arrow.dst:
-            hit = _unique_minimum(arrow.trop or arrow.field, mus[arrow.src], mus[arrow.dst],
-                                  grouped=False)
+            hit = _unique_minimum((arrow.trop or arrow.field)._finite_entries(), mus[arrow.src],
+                                  mus[arrow.dst], grouped=False)
             if hit is not None:
                 return "relation", a_idx, hit[0][0], hit[1][0]
             continue

@@ -546,13 +546,26 @@ class TestErrors:
         assert out["error"] == "internal error: ZeroDivisionError: division by zero"
 
     def test_relation_walk_without_exchange_triple_exits_3(self, write, capsys, monkeypatch):
-        # U(3, 2) is a valuated matroid: a failing relation reported by the
-        # walk has no violating triple behind it, which is never an accept
-        def spurious(a, mu, nu, grouped, pick=None):
+        # U(3, 2) is a valuated matroid with full support, decided by the
+        # three-term kernel: a failing relation reported by it has no
+        # violating triple behind it, which is never an accept
+        monkeypatch.setattr(matroid, "_three_term_failure", lambda m: True)
+        code, out = run(capsys, "check-matroid", write("m.json", UNIFORM_32))
+        assert code == 3 and set(out) == {"command", "error"}
+        assert out["error"].startswith("internal error: RuntimeError: ")
+
+    def test_partial_support_walk_without_exchange_triple_exits_3(self, write, capsys,
+                                                                  monkeypatch):
+        # every pair of [4] but {1, 2}, all valued 0: a valuated matroid whose
+        # support is not full, so the relation walk decides (16 relation
+        # pairs against 25 pairs of bases)
+        def spurious(entries, mu, nu, grouped, pick=None):
             return ((), None), ((), None)
 
+        values = [[list(b), "0"] for b in combinations(range(1, 5), 2) if b != (1, 2)]
         monkeypatch.setattr(matroid, "_unique_minimum", spurious)
-        code, out = run(capsys, "check-matroid", write("m.json", UNIFORM_32))
+        data = {"n": 4, "r": 2, "values": values}
+        code, out = run(capsys, "check-matroid", write("m.json", data))
         assert code == 3 and set(out) == {"command", "error"}
         assert out["error"].startswith("internal error: RuntimeError: ")
 

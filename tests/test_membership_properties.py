@@ -196,7 +196,7 @@ def test_walk_reads_a_field_matrix_as_its_valuation():
         mu, nu = rand_matroid(rng, r, n), rand_matroid(rng, s, n)
         contained = containment_check(a, mu, nu)
         assert contained == containment_check(val, mu, nu), (a, mu, nu)
-        unique = _unique_minimum(a, mu, nu, grouped=False)
-        assert unique == _unique_minimum(val, mu, nu, grouped=False), (a, mu, nu)
+        unique = _unique_minimum(a._finite_entries(), mu, nu, grouped=False)
+        assert unique == _unique_minimum(val._finite_entries(), mu, nu, grouped=False), (a, mu, nu)
         verdicts.add((contained[0], unique is None))
     assert verdicts == {(True, True), (False, True), (False, False)}

@@ -248,7 +248,8 @@ def test_walk_with_pick_finds_the_same_first_hit():
     for m in single_matroids(rng):
         identity = TropMatrix.identity(m.n)
         old = _unique_minimum(identity, m, m, grouped=False)
-        assert matroid._unique_minimum(identity, m, m, grouped=False, pick=_unrepeated) == old, m
+        assert matroid._unique_minimum(identity._finite_entries(), m, m, grouped=False,
+                                       pick=_unrepeated) == old, m
         witness = _exchange_violation(m, m)
         assert is_valuated_matroid(m) == (witness is None, witness), m
         seen[m.r] += 1
