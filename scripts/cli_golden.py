@@ -47,7 +47,11 @@ checkout's src/ gives that version's digest.  Everything runs in process:
 - check-matroid on tables with full support, whose exchange axiom the
   three-term relations decide: ranks 1 and n - 1, which have none and are
   accepted, and a lowered rank-3 table at n = 8, which they reject
-  (full_support_inputs).
+  (full_support_inputs);
+- qdr-check with and without --cross-check, flag-check and quotient on
+  independent full-support realizations under the identity, which the
+  incidence kernel rejects, and quotient whose upper table fails its
+  three-term check (incidence_inputs).
 
 Each output enters the hash as the exact text the command wrote, with
 two edits: the value of elapsed_ms is masked and input paths are reduced
@@ -68,6 +72,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "bench"), os.path.join(ROOT, "tests")]
@@ -565,6 +570,46 @@ def full_support_inputs():
     ]
 
 
+def incidence_inputs():
+    """Identity arrows and quotients of full-support matroids, whose
+    incidence relations the kernel decides when the higher-rank matroid is
+    valuated.  Independent realizations, which it rejects, so the walk
+    names the certificate: qdr-check with and without --cross-check on a
+    field identity arrow at n = 6, ranks (2, 4), and on a chain of tropical
+    identity arrows at n = 7, ranks (2, 4, 5), whose first arrow is nested
+    and accepted and whose second is rejected; flag-check and quotient on
+    the n = 6 pair.  And quotient of a nested pair at n = 6 whose upper
+    table is lowered, so that it fails its three-term check and the walk
+    decides."""
+    rng = random.Random("cli_golden:incidence")
+
+    def full(realize, n, ranks):
+        while True:
+            tables = [gen.table(m) for m in realize(rng, n, ranks)]
+            if all(len(t) == comb(n, r) for t, r in zip(tables, ranks)):
+                return [gen.enc_matroid(n, r, t) for t, r in zip(tables, ranks)], tables
+
+    def independent(rng, n, ranks):
+        return [pluecker_valuations(gen.full_rank_matrix(rng, r, n, gen.rand_monomial))
+                for r in ranks]
+
+    (mu6, nu6), _ = full(independent, 6, (2, 4))
+    (v1, v2), _ = full(gen.nested_matroids, 7, (2, 4))
+    (v3,), _ = full(independent, 7, (5,))
+    (lo6, _), (_, hi6) = full(gen.nested_matroids, 6, (2, 4))
+    pair6 = gen.enc_quiver(6, ["u", "w"], [("u", "w", FieldMatrix.identity(6))], {"u": 2, "w": 4})
+    chain7 = {"n": 7, "vertices": ["v1", "v2", "v3"], "dim": {"v1": 2, "v2": 4, "v3": 5},
+              "arrows": [{"src": a, "dst": b, "matrix_trop": _identity(7)}
+                         for a, b in (("v1", "v2"), ("v2", "v3"))]}
+    qdr = [(("pair6", pair6), ("independent6", {"u": mu6, "w": nu6})),
+           (("chain7", chain7), ("chain7_independent", {"v1": v1, "v2": v2, "v3": v3}))]
+    return ([(command, list(files)) for files in qdr
+             for command in ("qdr-check", "qdr-check --cross-check")]
+            + [("flag-check", [("flag6_independent", [mu6, nu6])]),
+               ("quotient", [("mu6_independent", mu6), ("nu6_independent", nu6)]),
+               ("quotient", [("lo6", lo6), ("hi6_lowered", gen.enc_matroid(6, 4, gen.lowered(hi6)))])])
+
+
 _ELAPSED = re.compile(r'"elapsed_ms": [^,\n]*')
 
 
@@ -619,7 +664,7 @@ def records(seeds):
         for command, files in (inputs + exchange_inputs() + rational_inputs() + mixed_scale_inputs()
                                + loop_inputs() + relation_inputs() + witness_inputs()
                                + storage_inputs() + pivot_inputs() + vertex_inputs()
-                               + full_support_inputs()):
+                               + full_support_inputs() + incidence_inputs()):
             argv = command.split()
             for name, data in files:
                 argv.append(os.path.join(directory, name + ".json"))
