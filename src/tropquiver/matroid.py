@@ -14,13 +14,16 @@ of val(A_ij) + c_j + C_i, over a cocircuit-side c and a circuit-side C,
 attained twice, counting every term (relations, and under the identity the
 exchange axiom and quotients) or each target index i once
 (containment_check, whose circuit half is tls_membership, and circuits,
-cocircuits)?  The exchange axiom of one matroid with full support is
-decided by its three-term relations alone (_three_term_failure); on any
-other support it walks each relation once (_unrepeated).  The exchange loop
-over pairs of finite bases names the certificate of a rejection and decides
-sparse tables, whose pairs of bases are fewer than their relations.  Every
-walk over subsets, or pairs of subsets or bases, is counted before it
-starts, against WALK_CAP.
+cocircuits)?  Two local kernels replace that walk where both supports are
+full, building no vector: the exchange axiom of one matroid is decided by
+its three-term relations (_three_term_failure), and a quotient, or an
+identity arrow of quiver's membership routes, by one scan of the bases of
+nu / I per cocircuit of mu (_incidence_failure), once nu is known to be a
+valuated matroid.  On any other support one matroid walks each relation
+once (_unrepeated).  The exchange loop over pairs of finite bases names
+the certificate of a rejection and decides sparse tables, whose pairs of
+bases are fewer than their relations.  Every walk over subsets, or pairs of
+subsets or bases, is counted before it starts, against WALK_CAP.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from itertools import combinations
 from math import comb, lcm
 
 from .errors import CapacityError, NotAMatroidError, ShapeError, UsageError
-from .trop import INF, TropMatrix, TropValue, TropVector
+from .trop import INF, TropValue, TropVector
 
 
 # most subsets, or pairs of subsets, one call walks; about four times the
@@ -159,16 +162,21 @@ def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
     or 5); the others hold on every table or repeat a pair walked before.
     When mu is nu and its support is full, the uniform matroid, the
     three-term relations alone decide (_three_term_failure: 280
-    comparisons at n = 8, rank 3 or 5), and no vector is built.
+    comparisons at n = 8, rank 3 or 5), and no vector is built.  When mu
+    is not nu, rank(mu) <= rank(nu), both supports are full and the
+    three-term relations prove nu a valuated matroid, the incidence
+    relations are decided per cocircuit of mu (_incidence_failure: 560
+    values of nu at n = 8, ranks (3, 5), against 784 relation pairs).
 
     The pairs of finite bases are counted against WALK_CAP first.  When
     the relation pairs, C(n, r - 1) * C(n, s + 1), are fewer, as they are
     on every full support (C(n, r)^2 > C(n, r - 1) * C(n, r + 1)), the
     relations decide, and only a rejection runs the exchange loop, for the
-    certificate; a rejection without a violating triple is a fault of the
-    program and raises RuntimeError.  Otherwise the exchange loop decides.
-    It walks only pairs of finite bases (an infinite left-hand side never
-    violates), in sorted order, which is the order of combinations.
+    certificate; a rejection without a violating triple, whichever of the
+    three decided, is a fault of the program and raises RuntimeError.
+    Otherwise the exchange loop decides.  It walks only pairs of finite
+    bases (an infinite left-hand side never violates), in sorted order,
+    which is the order of combinations.
 
     Each of the two subset counts is at most their product unless one is 0
     (rank(mu) = 0 or rank(nu) = n), when there is no relation and no triple
@@ -183,11 +191,12 @@ def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
     check_walk("exchange check", base_pairs, "pairs of bases")
     by_relations = subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1) < base_pairs
     if by_relations:
-        if mu is nu and len(mu._at) == subset_count(mu.n, mu.r):
+        if mu is nu and _full(mu):
             failing = _three_term_failure(mu)
+        elif mu.r <= nu.r and _full(mu) and _full(nu) and not _three_term_failure(nu):
+            failing = _incidence_failure(mu, nu)
         else:
-            identity = [(e, e, 0) for e in range(1, mu.n + 1)]
-            failing = _unique_minimum(identity, mu, nu, grouped=False,
+            failing = _unique_minimum(_identity_entries(mu.n), mu, nu, grouped=False,
                                       pick=_unrepeated if mu is nu else None) is not None
         if not failing:
             return None
@@ -242,6 +251,17 @@ def _int_tables(matroids, extra=()):
                    for m in matroids]
 
 
+def _full(m: ValuatedMatroid):
+    """Is every r-subset a basis of m (the uniform matroid)?"""
+    return len(m._at) == subset_count(m.n, m.r)
+
+
+def _identity_entries(n):
+    """The finite entries of the n x n identity, as _unique_minimum reads
+    val(A): the (e, e, 0)."""
+    return [(e, e, 0) for e in range(1, n + 1)]
+
+
 def _unrepeated(i_mask, items):
     """The items, each (J, J's bitmask, ...), whose relation (I, J) of one
     matroid under the identity neither holds on every table nor repeats an
@@ -263,16 +283,63 @@ def _three_term_failure(m: ValuatedMatroid):
     matroid), the table is a valuated matroid exactly when no three-term
     relation fails (the local exchange theorem: Dress-Wenzel, "Valuated
     matroids", 1992; Speyer, "Tropical linear spaces", 2008).  Ranks 0, 1,
-    n - 1 and n have no such relation."""
+    n - 1 and n have no such relation.
+
+    Complements map the three-term relations of m onto those of its dual,
+    the (n - r)-subsets valued m(E - B), with the same three sums; so for
+    2r > n the walk takes the dual's (n - r - 2)-subsets S, fewer, and
+    reads m at the complements of Sab, ..., Sbc."""
     at, bits = m._at, [1 << e for e in range(1, m.n + 1)]
-    for s_bits in combinations(bits, m.r - 2) if m.r >= 2 else ():
+    k, flip = (m.r - 2, 0) if 2 * m.r <= m.n else (m.n - m.r - 2, sum(bits))
+    for s_bits in combinations(bits, k) if k >= 0 else ():
         s = sum(s_bits)
+        base = s ^ flip  # S, or for the dual the complement of S
         for a, b, c, d in combinations([e for e in bits if not s & e], 4):
-            x = at[s | a | b] + at[s | c | d]
-            y = at[s | a | c] + at[s | b | d]
-            z = at[s | a | d] + at[s | b | c]
+            x = at[base ^ (a | b)] + at[base ^ (c | d)]
+            y = at[base ^ (a | c)] + at[base ^ (b | d)]
+            z = at[base ^ (a | d)] + at[base ^ (b | c)]
             if x < y and x < z or y < x and y < z or z < x and z < y:
                 return True
+    return False
+
+
+def _incidence_failure(mu: ValuatedMatroid, nu: ValuatedMatroid):
+    """Does some incidence relation of mu and nu under the identity, the
+    minimum over j in J - I of mu(I + j) + nu(J - j) for |I| = r - 1 and
+    |J| = s + 1, have a unique minimum?  Both supports must be full,
+    r = rank(mu) <= s = rank(nu), and nu a valuated matroid; mu may be any
+    table.
+
+    Fix I.  The relations (I, J) over all J hold exactly when the cocircuit
+    c_I = mu(I + .) lies in trop(nu).  c_I is infinite exactly on I, so that
+    holds exactly when its finite part lies in trop(nu / I), whose bases
+    are the (s - r + 1)-subsets B of E - I valued nu(I + B); and that holds
+    exactly when the initial matroid of nu / I at that point has no loop
+    (Speyer, "Tropical linear spaces", 2008): when the B minimizing
+    nu(I + B) - sum of c_I over B cover E - I.  No vector is built: at
+    n = 8, ranks (3, 5), the walk reads 28 * 20 = 560 values of nu, where
+    the relation walk visits 784 pairs.  Without the precondition on nu the
+    criterion and the relations can disagree."""
+    n, r, k = mu.n, mu.r, nu.r - mu.r + 1
+    if not r or nu.r == n:
+        return False  # no relation
+    _, (mu_at, nu_at) = _int_tables((mu, nu))
+    bits = [1 << e for e in range(1, n + 1)]
+    ground = sum(bits)
+    for i_bits in combinations(bits, r - 1):
+        i = sum(i_bits)
+        rest = [e for e in bits if not i & e]
+        low = cover = None
+        for b_bits, c_values in zip(combinations(rest, k),
+                                    combinations([mu_at[i | e] for e in rest], k)):
+            b = sum(b_bits)
+            t = nu_at[i | b] - sum(c_values)
+            if cover is None or t < low:
+                low, cover = t, b
+            elif t == low:
+                cover |= b
+        if cover != ground ^ i:
+            return True
     return False
 
 
@@ -412,7 +479,8 @@ def tls_membership(m: ValuatedMatroid, x: TropVector):
     returns (bool, violating_circuit_or_None).  x is the one cocircuit of
     the rank-1 matroid with values x, whose tropical linear space is x, so
     this is the circuit half of containment_check of that matroid under
-    the identity.  The all-infinite x is a member, though no rank-1
+    the identity, walked on the identity's entries without building it.
+    The all-infinite x is a member, though no rank-1
     matroid has its values: each of its circuit terms is infinite, and an
     infinite minimum counts as attained twice (trop.min_attained_twice).
     trop_span_membership(..., projective=True) raises DegeneratePointError
@@ -424,8 +492,8 @@ def tls_membership(m: ValuatedMatroid, x: TropVector):
     if x.is_all_inf:
         return True, None  # every term is infinite
     point = ValuatedMatroid(m.n, 1, {(i,): e.value for i, e in enumerate(x, 1) if e.is_finite})
-    ok, cert = containment_check(TropMatrix.identity(m.n), point, m)
-    return ok, None if ok else cert[1]
+    hit = _unique_minimum(_identity_entries(m.n), point, m, grouped=True)
+    return hit is None, None if hit is None else hit[1][1]
 
 
 def quotient_check(mu: ValuatedMatroid, nu: ValuatedMatroid):
@@ -435,7 +503,8 @@ def quotient_check(mu: ValuatedMatroid, nu: ValuatedMatroid):
     with i in I - J and mu(I) + nu(J) < mu(I - i + j) + nu(J - j + i) for
     every j in J - I.  Equivalently, every incidence relation, the minimum
     over j in J - I of mu(I + j) + nu(J - j) for |I| = rank(mu) - 1 and
-    |J| = rank(nu) + 1, is attained twice; the relation walk decides that
+    |J| = rank(nu) + 1, is attained twice; the relation walk decides that,
+    or on full supports with nu a valuated matroid the incidence kernel,
     unless the pairs of bases are fewer (see _exchange_violation).
     """
     if mu.n != nu.n:

@@ -24,6 +24,10 @@ count every term, containment (matroid.containment_check, imported here)
 each target index i once.  Between two distinct vertices no two terms
 merge, since the monomial p_{I+j} q_{J-i} fixes both j and i; loops,
 whose terms can share a monomial, are valued on the merged int relations.
+On the identity between distinct vertices, with full supports and rank
+rising along the arrow, the two routes are one test, which
+matroid._incidence_failure makes without the walk; the walk then runs only
+on a rejection, for the certificate.
 
 The witness check moves the witness and the field layers to one exponent
 scale and keeps one minor memo per vertex, read by its arrows and its
@@ -44,6 +48,9 @@ from .errors import ShapeError, UsageError
 from .matroid import (
     WALK_CAP as RELATION_CAP,  # the cap all_relations counts against
     _fractions,
+    _full,
+    _identity_entries,
+    _incidence_failure,
     _mask,
     _unrepeated,
     _unique_minimum,
@@ -401,16 +408,33 @@ def _matroid_failure(rep: QuiverRepresentation, mus):
     return None
 
 
+def _incidence_holds(a, mu, nu):
+    """Does matroid._incidence_failure accept an arrow between two distinct
+    vertices, given its tropical or field matrix?  It decides only where
+    val(a) is the identity, rank(mu) <= rank(nu) and both supports are
+    full, and needs nu's exchange axiom, which the vertex stage of every
+    caller (qdr_membership, qdr_membership_via_containment,
+    qdr_cross_check) has proved first.  On the identity both routes' walks
+    are this one test, since each target index i has one term, at j = i.
+    False where it does not apply and on a rejection: the arrow's walk then
+    decides, and names the certificate."""
+    return (mu.r <= nu.r and _full(mu) and _full(nu)
+            and a._finite_entries() == _identity_entries(mu.n) and not _incidence_failure(mu, nu))
+
+
 def _relation_failure(rep: QuiverRepresentation, mus):
     """The relation route's arrow stage: the first ("relation", arrow, I, J)
     whose tropical quiver Pluecker relation has a unique finite minimum, or
     None.  Arrows between distinct vertices go through the integer walk,
-    counting every term; loops through the generator's merged int terms."""
+    counting every term, unless _incidence_holds; loops through the
+    generator's merged int terms."""
     check_walk("membership by relations", _arrow_pairs(rep), "(I, J) pairs")
     for a_idx, arrow in enumerate(rep.arrows):
         if arrow.src != arrow.dst:
-            hit = _unique_minimum((arrow.trop or arrow.field)._finite_entries(), mus[arrow.src],
-                                  mus[arrow.dst], grouped=False)
+            a, mu, nu = arrow.trop or arrow.field, mus[arrow.src], mus[arrow.dst]
+            if _incidence_holds(a, mu, nu):
+                continue
+            hit = _unique_minimum(a._finite_entries(), mu, nu, grouped=False)
             if hit is not None:
                 return "relation", a_idx, hit[0][0], hit[1][0]
             continue
@@ -439,7 +463,10 @@ def qdr_membership(rep: QuiverRepresentation, mus):
     merges, and the relation is evaluated term by term,
     val(A_ij) + mu(I+j) + nu(J-i), without building it.  On a loop two
     terms can be one monomial, so loops are evaluated the same way on the
-    generator's merged int terms.  Returns (bool, certificate).
+    generator's merged int terms.  The vertex stage runs first, so an
+    identity arrow between full-support matroids can be decided by
+    _incidence_holds, which needs nu's exchange axiom.  Returns (bool,
+    certificate).
     """
     cert = _matroid_failure(rep, mus) or _relation_failure(rep, mus)
     return cert is None, cert
@@ -448,17 +475,22 @@ def qdr_membership(rep: QuiverRepresentation, mus):
 def qdr_membership_via_containment(rep: QuiverRepresentation, mus):
     """Quiver-Dressian membership by per-arrow containment of tropical
     linear spaces; independent of (and cross-tested against) the
-    relation-vanishing route."""
+    relation-vanishing route.  Its vertex stage, too, runs before any arrow
+    (see _incidence_holds)."""
     cert = _matroid_failure(rep, mus) or _containment_failure(rep, mus)
     return cert is None, cert
 
 
 def _containment_failure(rep: QuiverRepresentation, mus):
     """The containment route's arrow stage: the first
-    ("containment", arrow, (cocircuit, circuit)), or None."""
+    ("containment", arrow, (cocircuit, circuit)), or None.  An arrow
+    between distinct vertices that _incidence_holds skips containment_check."""
     check_walk("membership by containment", _arrow_pairs(rep), "(cocircuit, circuit) pairs")
     for a_idx, arrow in enumerate(rep.arrows):
-        ok, cert = containment_check(arrow.trop or arrow.field, mus[arrow.src], mus[arrow.dst])
+        a, mu, nu = arrow.trop or arrow.field, mus[arrow.src], mus[arrow.dst]
+        if arrow.src != arrow.dst and _incidence_holds(a, mu, nu):
+            continue
+        ok, cert = containment_check(a, mu, nu)
         if not ok:
             return "containment", a_idx, cert
     return None
@@ -467,7 +499,8 @@ def _containment_failure(rep: QuiverRepresentation, mus):
 def qdr_cross_check(rep: QuiverRepresentation, mus):
     """Both membership routes with one vertex stage: the relation route's
     and the containment route's (bool, certificate) pairs, as
-    qdr_membership and qdr_membership_via_containment return them."""
+    qdr_membership and qdr_membership_via_containment return them.  The
+    vertex stage runs before either arrow stage (see _incidence_holds)."""
     failed = _matroid_failure(rep, mus)
     relation = failed or _relation_failure(rep, mus)
     containment = failed or _containment_failure(rep, mus)
@@ -532,10 +565,11 @@ def trop_qgr_witness_check(rep: QuiverRepresentation, mus, witness):
 def flag_mode_check(mus_by_rank):
     """Flag-of-matroids check: consecutive quotient conditions along a
     strictly rank-increasing sequence.  Equals quiver-Dressian membership
-    for the identity-arrow chain quiver, and each quotient_check runs the
-    relation route's walk on that chain's arrow unless its pairs of bases
-    are fewer.  Returns (bool, certificate), the certificate an exchange
-    triple."""
+    for the identity-arrow chain quiver, and each quotient_check decides
+    that chain's arrow as the relation route does: by the incidence kernel
+    on full supports whose upper matroid passes its three-term check, else
+    by the relation walk, unless its pairs of bases are fewer.  Returns
+    (bool, certificate), the certificate an exchange triple."""
     mus = list(mus_by_rank)
     if len(mus) < 2:
         raise UsageError("a flag needs at least two matroids")

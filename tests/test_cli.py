@@ -554,6 +554,18 @@ class TestErrors:
         assert code == 3 and set(out) == {"command", "error"}
         assert out["error"].startswith("internal error: RuntimeError: ")
 
+    def test_incidence_kernel_without_exchange_triple_exits_3(self, write, capsys, monkeypatch):
+        # U(4, 1) is a quotient of U(4, 2), both supports full and U(4, 2) a
+        # valuated matroid, so the incidence kernel decides: a failure
+        # reported by it has no violating triple behind it
+        def uniform(r):
+            return {"n": 4, "r": r, "values": [[list(b), "0"] for b in combinations(range(1, 5), r)]}
+
+        monkeypatch.setattr(matroid, "_incidence_failure", lambda mu, nu: True)
+        code, out = run(capsys, "quotient", write("mu.json", uniform(1)), write("nu.json", uniform(2)))
+        assert code == 3 and set(out) == {"command", "error"}
+        assert out["error"].startswith("internal error: RuntimeError: ")
+
     def test_partial_support_walk_without_exchange_triple_exits_3(self, write, capsys,
                                                                   monkeypatch):
         # every pair of [4] but {1, 2}, all valued 0: a valuated matroid whose
