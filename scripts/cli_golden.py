@@ -51,7 +51,11 @@ checkout's src/ gives that version's digest.  Everything runs in process:
 - qdr-check with and without --cross-check, flag-check and quotient on
   independent full-support realizations under the identity, which the
   incidence kernel rejects, and quotient whose upper table fails its
-  three-term check (incidence_inputs).
+  three-term check (incidence_inputs);
+- relations where a monomial's source factor is not always first: an
+  arrow w -> u, whose target's name sorts first, and arrows from a
+  higher-rank vertex to a lower-rank one, on both layers and with both
+  name orders (order_inputs).
 
 Each output enters the hash as the exact text the command wrote, with
 two edits: the value of elapsed_ms is masked and input paths are reduced
@@ -610,6 +614,30 @@ def incidence_inputs():
                ("quotient", [("lo6", lo6), ("hi6_lowered", gen.enc_matroid(6, 4, gen.lowered(hi6)))])])
 
 
+def order_inputs():
+    """relations on quivers whose monomials do not list the source factor
+    first, or whose factors have more elements on the source side: a
+    tropical arrow w -> u, ranks (2, 3), at n = 5, whose monomials list
+    the target's factor first; a field arrow u -> w with rational entries
+    from rank 3 down to rank 2 at n = 4; and a field arrow w -> u from
+    rank 3 down to rank 1 at n = 4 beside a tropical loop on u."""
+    rng = random.Random("cli_golden:order")
+    trop = [[gen.enc_value(Fraction(rng.randint(-3, 3), rng.choice([1, 2])))
+             if rng.random() < 0.6 else "inf" for _ in range(5)] for _ in range(5)]
+    target_first = {"n": 5, "vertices": ["u", "w"], "dim": {"u": 3, "w": 2},
+                    "arrows": [{"src": "w", "dst": "u", "matrix_trop": trop}]}
+    falling = gen.enc_quiver(4, ["u", "w"], [("u", "w", rational_matrix(rng, 4, 4))],
+                             {"u": 3, "w": 2})
+    both = gen.enc_quiver(4, ["u", "w"], [("w", "u", rational_matrix(rng, 4, 4))],
+                          {"u": 1, "w": 3})
+    both["arrows"].append({"src": "u", "dst": "u", "matrix_trop": [
+        ["0" if i == j else "inf" if (i + j) % 2 else str(i - j) for j in range(4)]
+        for i in range(4)]})
+    return [("relations", [files]) for files in [
+        ("target_first", target_first), ("rank_falling", falling),
+        ("target_first_falling", both)]]
+
+
 _ELAPSED = re.compile(r'"elapsed_ms": [^,\n]*')
 
 
@@ -664,7 +692,8 @@ def records(seeds):
         for command, files in (inputs + exchange_inputs() + rational_inputs() + mixed_scale_inputs()
                                + loop_inputs() + relation_inputs() + witness_inputs()
                                + storage_inputs() + pivot_inputs() + vertex_inputs()
-                               + full_support_inputs() + incidence_inputs()):
+                               + full_support_inputs() + incidence_inputs()
+                               + order_inputs()):
             argv = command.split()
             for name, data in files:
                 argv.append(os.path.join(directory, name + ".json"))
