@@ -2,7 +2,10 @@
 
 Each input format F is decoded by F_from_json; the CLI names its inputs
 by these formats.  Rationals are strings "p/q" (or "p") or integers, and
-nothing else; infinity is the string "inf".
+nothing else; infinity is the string "inf".  A rational string is read as
+int(p) over int(q), and matroid values and Puiseux coefficients go to
+their objects as Fractions (None for "inf"), without a TropValue or a
+coercion in between.
 Vectors are arrays, matrices arrays of row arrays.  Puiseux elements are
 term lists [{"c": "p/q", "e": "a/b"}, ...]; zero is the empty list.
 dump writes a verdict as json.dump(obj, stream, indent=2, sort_keys=True)
@@ -10,8 +13,8 @@ does, byte for byte, in a few large writes instead of one per token.
 Relations are encoded from quiver's int terms, without a Puiseux or
 tropical object: relations_to_json turns each distinct coefficient into
 text once, and dump assembles each relation from those texts and from the
-text of each monomial factor and classical coefficient, rendered once per
-indent.
+texts of its I and J, of each monomial factor and of each classical
+coefficient, each rendered once per indent.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from math import isinf
 from .errors import CapacityError, UsageError
 from .matroid import ValuatedMatroid, _fractions
 from .morphism import GroundSetMap
-from .puiseux import FieldMatrix, PuiseuxElement
+from .puiseux import FieldMatrix, PuiseuxElement, _element
 from .quiver import QuiverRepresentation, RepArrow
 from .trop import INF, TropMatrix, TropValue, TropVector
 
@@ -43,8 +46,9 @@ def _rational(x, what) -> Fraction:
     pattern keeps out every other string Fraction would parse, such as
     "1e10000000", whose expansion alone takes seconds."""
     if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        p, _, q = x.partition("/")
         try:
-            return Fraction(x)
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
         except (ValueError, ZeroDivisionError) as exc:  # digit limit, q = 0
             raise UsageError("bad rational %r for %s: %s" % (x, what, exc))
     if isinstance(x, bool) or not isinstance(x, int):
@@ -117,7 +121,8 @@ def matroid_from_json(data) -> ValuatedMatroid:
         subset = tuple(_int(e, "a subset element") for e in item[0])
         if subset in table:
             raise UsageError("subset %r is listed twice" % (list(subset),))
-        table[subset] = value_from_json(item[1])
+        value = item[1]
+        table[subset] = None if value == "inf" else _rational(value, "a tropical value")
     return ValuatedMatroid(_int(n, "n"), _int(r, "r"), table)
 
 
@@ -133,8 +138,8 @@ def puiseux_from_json(data) -> PuiseuxElement:
     for t in data:
         c, e = _fields(t, ("c", "e"), "bad Puiseux term %r", t)
         e = _rational(e, "a Puiseux exponent")
-        terms[e] = terms.get(e, Fraction(0)) + _rational(c, "a Puiseux coefficient")
-    return PuiseuxElement(terms)
+        terms[e] = terms.get(e, 0) + _rational(c, "a Puiseux coefficient")
+    return _element({e: c for e, c in terms.items() if c})
 
 
 def field_matrix_to_json(m: FieldMatrix):
@@ -296,43 +301,53 @@ def _text(x, nl, memo) -> str:
 
 def _write_relation(x, nl, out, memo) -> None:
     """Append the text of the _Relation x, on a line whose newline and
-    indent are nl, to out.  A term's text is assembled from the texts of
-    its monomial's two factors and of its classical coefficient, which memo
-    keeps per indent under the keys (factor, nl) and (nl, coefficient):
-    one starts with a tuple and the other with a str, so they never meet.
-    A factor repeats far more often than a monomial (56 distinct factors,
-    1015 distinct monomials of 1470 in the n = 7 identity chain's
-    relations).  Monomials are rendered in place where the relation's
+    indent are nl, to out.  The relation is assembled from the texts of its
+    I and J, of its monomials' factors and of its classical coefficients,
+    which memo keeps per indent: memo[nl] holds three dicts, subset ->
+    text, factor -> text and coefficient -> text.  A part repeats far more
+    often than a relation (41 distinct I, 42 distinct J, 56 distinct
+    factors and 2 distinct coefficients in the 392 relations of the n = 7
+    identity chain).  Monomials are rendered in place where the relation's
     vertex names are not both str, since equal names can render
-    differently (1 and True)."""
+    differently (1 and True); I and J are tuples of ints."""
     kind, where, i_set, j_set, classical, terms = x
     inner = nl + "  "
     term_nl = inner + "  "
     field_nl = term_nl + "  "  # the line of a term's coeff and monomial
     factor_nl = field_nl + "  "
+    parts = memo.get(nl)
+    if parts is None:
+        parts = memo[nl] = ({}, {}, {})
+    subsets, factors, coefficients = parts
+    # a term is {"coeff": ..., "monomial": ...}, after "[" or ","; its
+    # monomial's text runs from the comma after the coeff to the closing brace
+    head = "{" + field_nl + '"coeff": '
+    first, comma = "[" + term_nl + head, "," + term_nl + head
+    mid, close = "," + field_nl + '"monomial": ', term_nl + "}"
     monomials = []
     if terms:
         (u, _), (w, _) = terms[0][0]
         if type(u) is str and type(w) is str:
+            # each factor's text with the newline before it
             for (f, g), _ in terms:
-                f_text = memo.get((f, factor_nl))
+                f_text = factors.get(f)
                 if f_text is None:
-                    f_text = memo[f, factor_nl] = _text(f, factor_nl, memo)
-                g_text = memo.get((g, factor_nl))
+                    f_text = factors[f] = factor_nl + _text(f, factor_nl, memo)
+                g_text = factors.get(g)
                 if g_text is None:
-                    g_text = memo[g, factor_nl] = _text(g, factor_nl, memo)
-                monomials.append("[" + factor_nl + f_text + "," + factor_nl + g_text
-                                 + field_nl + "]")
+                    g_text = factors[g] = factor_nl + _text(g, factor_nl, memo)
+                monomials.append("%s[%s,%s%s]%s" % (mid, f_text, g_text, field_nl, close))
         else:
-            monomials = [_text(mono, field_nl, memo) for mono, _ in terms]
-    head, mid, close = "{" + field_nl + '"coeff": ', "," + field_nl + '"monomial": ', term_nl + "}"
-    first, comma = "[" + term_nl, "," + term_nl
+            monomials = [mid + _text(mono, field_nl, memo) + close for mono, _ in terms]
+    i_text = subsets.get(i_set)
+    if i_text is None:
+        i_text = subsets[i_set] = _text(i_set, inner, memo)
+    j_text = subsets.get(j_set)
+    if j_text is None:
+        j_text = subsets[j_set] = _text(j_set, inner, memo)
+    out.append("{" + inner + '"I": ' + i_text + "," + inner + '"J": ' + j_text
+               + "," + inner + '"classical": ')
     extend = out.extend
-    out.append("{" + inner + '"I": ')
-    _write(i_set, inner, out, None, memo)
-    out.append("," + inner + '"J": ')
-    _write(j_set, inner, out, None, memo)
-    out.append("," + inner + '"classical": ')
     if not classical:
         out.append("null")
     elif not terms:
@@ -340,11 +355,11 @@ def _write_relation(x, nl, out, memo) -> None:
     else:
         sep = first
         for monomial, (_, (coeff, _)) in zip(monomials, terms):
-            text = memo.get((field_nl, coeff))
+            text = coefficients.get(coeff)
             if text is None:
-                text = memo[field_nl, coeff] = _text([{"c": c, "e": e} for c, e in coeff],
-                                                     field_nl, memo)
-            extend((sep, head, text, mid, monomial, close))
+                text = coefficients[coeff] = _text([{"c": c, "e": e} for c, e in coeff],
+                                                   field_nl, memo)
+            extend((sep, text, monomial))
             sep = comma
         out.append(inner + "]")
     out.append("," + inner + '"kind": ' + _string(kind) + "," + inner + '"tropical": ')
@@ -353,7 +368,7 @@ def _write_relation(x, nl, out, memo) -> None:
     else:
         sep = first
         for monomial, (_, (_, value)) in zip(monomials, terms):
-            extend((sep, head, _string(value), mid, monomial, close))
+            extend((sep, _string(value), monomial))
             sep = comma
         out.append(inner + "]")
     out.append("," + inner + '"where": ')

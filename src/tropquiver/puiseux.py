@@ -206,6 +206,13 @@ class FieldMatrix(_Matrix):
         return [(i, j, Fraction(min(x), self._scale)) for i, row in enumerate(self._at, 1)
                 for j, x in enumerate(row, 1) if x]
 
+    def _val_is_identity(self):
+        """Is val(A) the identity?  Read on the stored ints: the diagonal
+        entries are nonzero with least exponent 0, the others zero."""
+        return len(self._at) == len(self._at[0]) and all(
+            bool(x) and min(x) == 0 if i == j else not x
+            for i, row in enumerate(self._at) for j, x in enumerate(row))
+
     def matvec(self, v):
         v = FieldMatrix([v])
         if v.n_cols != self.n_cols:

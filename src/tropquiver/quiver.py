@@ -36,7 +36,6 @@ Pluecker valuations.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -49,7 +48,6 @@ from .matroid import (
     WALK_CAP as RELATION_CAP,  # the cap all_relations counts against
     _fractions,
     _full,
-    _identity_entries,
     _incidence_failure,
     _mask,
     _unrepeated,
@@ -190,28 +188,72 @@ def _relations(n, r, s, src, dst, columns, merge, pick=None):
     cancelled monomial, dropped here; tropically min).  Relations without
     terms are skipped.  pick, given I's bitmask and the (J, J's bitmask)
     pairs, returns the J walked with that I; the rest are skipped before
-    any term is built."""
+    any term is built.
+
+    Each factor (vertex, subset) is built once per call, with its rank in
+    monomial order: tuples compare by vertex name, then by subset, so
+    factors of equal names and equal subsets share a rank.  A term merges
+    under the int key of its two ranks, lower first; i in J and the sign
+    are read off bitmasks.  A monomial is (p_{I+j}, q_{J-i}), or the
+    reverse where q_{J-i} ranks lower, each side with its own vertex name.
+    Where the names are equal but not one object (1 and True print
+    differently) and the ranks coincide, a monomial met in both orders
+    keeps the order it was met in first."""
     ground = range(1, n + 1)
     j_sets = [(j_set, _mask(j_set)) for j_set in combinations(ground, s + 1)]
+    try:
+        # the target's factors sort before, with or after the source's
+        tag = 0 if src == dst else -1 if dst < src else 1
+    except TypeError:
+        # names that do not compare: fail where a term would order them
+        if any(_relations(n, r, s, 0, 1, columns, merge, pick)):
+            raise
+        return
+    ranked = sorted([(0, subset, 0) for subset in combinations(ground, r)]
+                    + [(tag, subset, 1) for subset in combinations(ground, s)])
+    # per side (source, target): subset bitmask -> rank, rank -> factor
+    at, named = ({}, {}), ([None] * len(ranked), [None] * len(ranked))
+    rank, last = -1, None
+    for t, subset, side in ranked:
+        if (t, subset) != last:
+            rank, last = rank + 1, (t, subset)
+        at[side][_mask(subset)] = rank
+        named[side][rank] = (dst if side else src, subset)
+    src_at, dst_at = at
+    # a rank's factor on each side, the other side's where that has none
+    src_factor = [f or g for f, g in zip(*named)]
+    dst_factor = [g or f for f, g in zip(*named)]
+    shift = rank.bit_length()
+    low = (1 << shift) - 1
+    oriented = src == dst and src is not dst and r == s
+    cols = [(1 << j, (2 << j) - 1, [(1 << i, entry) for i, entry in entries])
+            for j, entries in columns]
     for i_set in combinations(ground, r - 1):
         i_mask = _mask(i_set)
-        # per column j outside I: p_{I+j}, and the flips of sign(j;I,J)
-        # counted inside I, plus |J| (the flips in J are |J| minus the
-        # members of J up to j)
-        lefts = [(j, (src, tuple(sorted(i_set + (j,)))), sum(i > j for i in i_set) + s + 1,
-                  entries) for j, entries in columns if j not in i_set]
-        for j_set, _ in j_sets if pick is None else pick(i_mask, j_sets):
-            rights = {i: (dst, j_set[:k] + j_set[k + 1 :]) for k, i in enumerate(j_set)}
+        # per column j outside I: the bits up to j, p_{I+j}'s rank, and the
+        # flips of sign(j;I,J) counted inside I, plus |J| (the flips in J
+        # are |J| minus the members of J up to j)
+        lefts = [(upto, (i_mask & ~upto).bit_count() + s + 1, src_at[i_mask | bit], entries)
+                 for bit, upto, entries in cols if not i_mask & bit]
+        for j_set, j_mask in j_sets if pick is None else pick(i_mask, j_sets):
             acc = {}
-            for j, left, flips, entries in lefts:
-                odd = (flips - bisect_right(j_set, j)) & 1
-                for i, entry in entries:
-                    right = rights.get(i)
-                    if right is not None:
-                        mono = (right, left) if right < left else (left, right)
-                        prev = acc.get(mono)
-                        acc[mono] = entry[odd] if prev is None else merge(prev, entry[odd])
-            terms = tuple(sorted(t for t in acc.items() if t[1] is not None))
+            first = {} if oriented else None  # key -> was q_{J-i} first?
+            for upto, flips, lr, entries in lefts:
+                odd = (flips + (j_mask & upto).bit_count()) & 1
+                for i_bit, entry in entries:
+                    if j_mask & i_bit:
+                        rr = dst_at[j_mask ^ i_bit]
+                        key = lr << shift | rr if lr <= rr else rr << shift | lr
+                        prev = acc.get(key)
+                        if prev is None:
+                            acc[key] = entry[odd]
+                            if first is not None:
+                                first.setdefault(key, rr < lr)
+                        else:
+                            acc[key] = merge(prev, entry[odd])
+            terms = tuple(((dst_factor[k >> shift], src_factor[k & low]) if first and first[k]
+                           else (src_factor[k >> shift], dst_factor[k & low]), c)
+                          for k, c in sorted(acc.items()) if c is not None)
             if terms:
                 yield i_set, j_set, terms
 
@@ -336,7 +378,8 @@ def _kept_relations(rep: QuiverRepresentation):
     for kind, where, relations, coeff_scale in sources:
         for i_set, j_set, terms in relations:
             if coeff_scale is not None:
-                bucket = seen_classical.setdefault(tuple(m for m, _ in terms), [])
+                # keyed by the relation's monomials, the first column of its terms
+                bucket = seen_classical.setdefault(next(zip(*terms)), [])
                 if kind == "arrow" and any(_proportional(prev, terms) for prev in bucket):
                     continue
                 bucket.append(terms)
@@ -419,7 +462,7 @@ def _incidence_holds(a, mu, nu):
     False where it does not apply and on a rejection: the arrow's walk then
     decides, and names the certificate."""
     return (mu.r <= nu.r and _full(mu) and _full(nu)
-            and a._finite_entries() == _identity_entries(mu.n) and not _incidence_failure(mu, nu))
+            and a._val_is_identity() and not _incidence_failure(mu, nu))
 
 
 def _relation_failure(rep: QuiverRepresentation, mus):

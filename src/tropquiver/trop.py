@@ -233,6 +233,13 @@ class TropMatrix(_Matrix):
         return [(i, j, v.value) for i, row in enumerate(self.rows, 1)
                 for j, v in enumerate(row, 1) if v.value is not None]
 
+    def _val_is_identity(self):
+        """Is this the tropical identity: 0 on the diagonal, infinite
+        elsewhere?"""
+        return len(self.rows) == len(self.rows[0]) and all(
+            v.value == 0 if i == j else v.value is None
+            for i, row in enumerate(self.rows) for j, v in enumerate(row))
+
 
 def trop_matvec(a: TropMatrix, v: TropVector) -> TropVector:
     """Tropical matrix-vector product: result_i = min_j (A_ij + v_j)."""

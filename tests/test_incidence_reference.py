@@ -24,6 +24,7 @@ from itertools import combinations, permutations, product
 
 from tropquiver import (
     FieldMatrix,
+    PuiseuxElement,
     RepArrow,
     QuiverRepresentation,
     TropMatrix,
@@ -34,6 +35,7 @@ from tropquiver import (
     qdr_membership,
     qdr_membership_via_containment,
     quotient_check,
+    valuation,
 )
 from tropquiver import matroid, quiver
 from tropquiver.errors import NotARealizationError
@@ -344,3 +346,36 @@ def test_routes_match_the_kept_code_on_identity_chains():
         assert seen[layer, True, None] >= 10 and seen[layer, False, "relation"] >= 10, seen
         assert seen[layer, False, "matroid"] >= 10, seen
     assert seen["diagonal", False, "relation"] >= 10, seen
+
+
+def test_identity_test_reads_the_stored_values():
+    """_incidence_holds asks either layer whether val(A) is the identity,
+    as the comparison of its finite entries with the identity's did: on the
+    identity, on matrices one entry away from it, and on random ones."""
+    rng = random.Random(20261026)
+    zero, one, t = PuiseuxElement(), PuiseuxElement.const(1), PuiseuxElement.t_power(1)
+    t_inverse = PuiseuxElement.t_power(-1)
+    matrices = []
+    for n in (1, 2, 4):
+        for k in range(n):
+            for entry in (one, PuiseuxElement.const(Fraction(-3, 2)), one + t, t, one + t_inverse,
+                          zero):
+                rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+                rows[k][k] = entry
+                matrices.append(FieldMatrix(rows))
+                if n > 1:
+                    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+                    rows[k][n - 1 - k if n - 1 - k != k else 0] = entry
+                    matrices.append(FieldMatrix(rows))
+        matrices += [rand_field_matrix(rng, n, n, zero_prob=rng.random()) for _ in range(20)]
+    seen = Counter()
+    for m in matrices:
+        trop = TropMatrix([[valuation(x) for x in row] for row in m.rows])
+        expected = m._finite_entries() == _identity_entries(m.n_rows)
+        assert m._val_is_identity() == trop._val_is_identity() == expected, m
+        seen[expected] += 1
+    assert seen[True] >= 20 and seen[False] >= 50, seen
+    # a rectangular matrix is no identity, whatever its entries
+    for m in (FieldMatrix([[one, zero, zero], [zero, one, zero]]), FieldMatrix([[one], [zero]])):
+        assert not m._val_is_identity()
+        assert not TropMatrix([[valuation(x) for x in row] for row in m.rows])._val_is_identity()

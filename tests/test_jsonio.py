@@ -136,8 +136,8 @@ def test_relation_monomials_of_other_vertex_names_render_in_place():
 
 
 def test_relation_monomials_are_memoized(monkeypatch):
-    # each distinct factor of a monomial and each distinct classical
-    # coefficient is rendered once per indent
+    # each distinct I or J, each distinct factor of a monomial and each
+    # distinct classical coefficient is rendered once per indent
     rendered = []
     text = jsonio._text
     monkeypatch.setattr(jsonio, "_text",
@@ -147,8 +147,10 @@ def test_relation_monomials_are_memoized(monkeypatch):
     assert dumped(obj) == expected(obj)
     factors = {f for r in CHAIN for m, _ in r[5] for f in m}
     coefficients = {c for r in CHAIN for _, (c, _) in r[5]}
-    assert len(factors) == 20 and len(coefficients) == 2
-    assert len(rendered) == len(set(rendered)) == 2 * (len(factors) + len(coefficients))
+    subsets = {s for r in CHAIN for s in r[2:4]}
+    assert len(factors) == 20 and len(coefficients) == 2 and len(subsets) == 18
+    assert len(rendered) == len(set(rendered)) == 2 * (
+        len(factors) + len(coefficients) + len(subsets))
 
 
 def test_dump_leaves_no_cyclic_garbage():
