@@ -55,13 +55,21 @@ checkout's src/ gives that version's digest.  Everything runs in process:
 - relations where a monomial's source factor is not always first: an
   arrow w -> u, whose target's name sorts first, and arrows from a
   higher-rank vertex to a lower-rank one, on both layers and with both
-  name orders (order_inputs).
+  name orders (order_inputs);
+- argv shapes that the command table reads or hands to the full parser:
+  a flag between the inputs, a flag given twice, an abbreviated flag, a
+  path that looks like a negative number, and "--" before the inputs
+  (ARGV_SHAPES);
+- inputs whose ground set the file does not bound: a count far past the
+  cap, a rank-0 or rank-1 table on n = 20000, a map that assigns one of
+  20000 elements, and a vertex of full rank (large_n_inputs).
 
 Each output enters the hash as the exact text the command wrote, with
 two edits: the value of elapsed_ms is masked and input paths are reduced
 to their base names.  Whitespace, indentation and key order are compared.
 Each record also holds the sha256 of what the command wrote to stderr
-(usage errors), its paths reduced the same way.
+(usage errors and the tracebacks of internal errors), its paths reduced
+the same way and the package's directory cut from traceback lines.
 """
 
 import argparse
@@ -638,6 +646,47 @@ def order_inputs():
         ("target_first_falling", both)]]
 
 
+# argvs around a well-formed call, each "{name}" the path of the input
+# name.json, written from ARGV_FILES; TROP_LOOP at (0, 0) is rejected by
+# the relation route and accepted by containment, so --cross-check shows
+ARGV_FILES = {"trop_loop": TROP_LOOP, "trop_loop_tuple": {"v": _point(0, 0)},
+              "sparse12": SPARSE_12}
+ARGV_SHAPES = [
+    ["qdr-check", "{trop_loop}", "--cross-check", "{trop_loop_tuple}"],
+    ["qdr-check", "--cross-check", "{trop_loop}", "{trop_loop_tuple}", "--cross-check"],
+    ["qdr-check", "--cross", "{trop_loop}", "{trop_loop_tuple}"],
+    ["check-matroid", "-5"],
+    ["check-matroid", "--", "{sparse12}"],
+]
+
+
+def large_n_inputs():
+    """Inputs on ground sets far larger than their files: a rank-20000
+    vertex on n = 40000 and a rank-50000 table on n = 100000 with one
+    basis, whose subset counts are far past the cap; rank-0 and rank-1
+    tables with one basis on n = 20000; a map on n = 20000 that assigns
+    one element; and a vertex of rank n = 1000, which has no relation."""
+    m100000 = {"n": 100000, "r": 50000, "values": [[list(range(1, 50001)), "0"]]}
+    r0 = ("r0_n20000", {"n": 20000, "r": 0, "values": [[[], "0"]]})
+    r1 = ("r1_n20000", {"n": 20000, "r": 1, "values": [[[1], "0"]]})
+    return [
+        ("relations", [("rank20000_n40000", {"n": 40000, "vertices": ["v"], "arrows": [],
+                                             "dim": {"v": 20000}})]),
+        ("circuits", [("r50000_n100000", m100000)]),
+        ("cocircuits", [("r50000_n100000", m100000)]),
+        ("check-matroid", [("r50000_n100000", m100000)]),
+        ("check-matroid", [r0]),
+        ("cocircuits", [r0]),
+        ("check-matroid", [r1]),
+        ("cocircuits", [r1]),
+        ("quotient", [r0, r1]),
+        ("induce", [r1, ("one_of_n20000", {"n": 20000, "f": [{"i": 1, "to": 1, "shift": "0"}]})]),
+        ("relations", [("full_rank_n1000", {"n": 1000, "vertices": ["v"], "arrows": [],
+                                            "dim": {"v": 1000}})]),
+    ]
+
+
+PACKAGE = os.path.dirname(cli.__file__) + os.sep  # cut from traceback lines
 _ELAPSED = re.compile(r'"elapsed_ms": [^,\n]*')
 
 
@@ -654,7 +703,7 @@ def _captured(run, directory):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code, text = run()
-    err_text = err.getvalue().replace(directory + os.sep, "")
+    err_text = err.getvalue().replace(directory + os.sep, "").replace(PACKAGE, "")
     return _normalized(code, text, directory) + [hashlib.sha256(err_text.encode()).hexdigest()]
 
 
@@ -693,7 +742,7 @@ def records(seeds):
                                + loop_inputs() + relation_inputs() + witness_inputs()
                                + storage_inputs() + pivot_inputs() + vertex_inputs()
                                + full_support_inputs() + incidence_inputs()
-                               + order_inputs()):
+                               + order_inputs() + large_n_inputs()):
             argv = command.split()
             for name, data in files:
                 argv.append(os.path.join(directory, name + ".json"))
@@ -702,6 +751,13 @@ def records(seeds):
                         fh.write(data if isinstance(data, str) else json.dumps(data))
             out.append([" ".join([command] + [name for name, _ in files])]
                        + _run(argv, directory))
+        for name, data in ARGV_FILES.items():
+            with open(os.path.join(directory, name + ".json"), "w") as fh:
+                json.dump(data, fh)
+        for shape in ARGV_SHAPES:
+            argv = [os.path.join(directory, a[1:-1] + ".json") if a[:1] == "{" else a
+                    for a in shape]
+            out.append(["argv: " + " ".join(shape)] + _run(argv, directory))
     return out
 
 
