@@ -62,7 +62,8 @@ checkout's src/ gives that version's digest.  Everything runs in process:
   (ARGV_SHAPES);
 - inputs whose ground set the file does not bound: a count far past the
   cap, a rank-0 or rank-1 table on n = 20000, a map that assigns one of
-  20000 elements, and a vertex of full rank (large_n_inputs).
+  20000 elements, and a vertex of full rank (large_n_inputs), and the
+  like on n = 10^9 (unbounded_inputs).
 
 Each output enters the hash as the exact text the command wrote, with
 two edits: the value of elapsed_ms is masked and input paths are reduced
@@ -686,6 +687,30 @@ def large_n_inputs():
     ]
 
 
+def unbounded_inputs():
+    """Inputs on n = 10^9, whose files state one basis, one map element or
+    a vertex of rank n, and circuits of the rank-0 table on n = 20000,
+    whose 20000 vectors would have 20000 entries each: none may walk the
+    ground set."""
+    n = 10 ** 9
+    r0 = ("r0_n1e9", {"n": n, "r": 0, "values": [[[], "0"]]})
+    r1 = ("r1_n1e9", {"n": n, "r": 1, "values": [[[1], "0"]]})
+    return [
+        ("check-matroid", [r0]),
+        ("check-matroid", [r1]),
+        ("cocircuits", [r0]),
+        ("cocircuits", [r1]),
+        ("circuits", [("r0_n20000", {"n": 20000, "r": 0, "values": [[[], "0"]]})]),
+        ("quotient", [r0, r1]),
+        ("flag-check", [("flag_n1e9", [r0[1], r1[1]])]),
+        ("induce", [r1, ("one_of_n1e9", {"n": n, "f": [{"i": 1, "to": 1, "shift": "0"}]})]),
+        ("relations", [("full_rank_n1e9", {"n": n, "vertices": ["v"], "arrows": [],
+                                           "dim": {"v": n}})]),
+        ("qdr-check", [("rank1_n1e9", {"n": n, "vertices": ["v"], "arrows": [], "dim": {"v": 1}}),
+                       ("tuple_n1e9", {"v": r1[1]})]),
+    ]
+
+
 PACKAGE = os.path.dirname(cli.__file__) + os.sep  # cut from traceback lines
 _ELAPSED = re.compile(r'"elapsed_ms": [^,\n]*')
 
@@ -720,6 +745,21 @@ def _run(argv, directory):
     return _captured(run, directory)
 
 
+def _file_records(inputs, directory):
+    """The records of (command, [(file name, document), ...]) inputs, each
+    document written to directory/name.json (None: no file)."""
+    out = []
+    for command, files in inputs:
+        argv = command.split()
+        for name, data in files:
+            argv.append(os.path.join(directory, name + ".json"))
+            if data is not None:
+                with open(argv[-1], "w") as fh:
+                    fh.write(data if isinstance(data, str) else json.dumps(data))
+        out.append([" ".join([command] + [name for name, _ in files])] + _run(argv, directory))
+    return out
+
+
 def records(seeds):
     """[label, exit code, output, sha256 of stderr] for every input, in a
     fixed order."""
@@ -738,19 +778,12 @@ def records(seeds):
         inputs = [("check-matroid", [("malformed", '{"n": 3, "r": ')]),
                   ("check-matroid", [("missing", None)])] + OVER_CAP
         inputs += [(command, files) for command, files, _ in EXIT_2]
-        for command, files in (inputs + exchange_inputs() + rational_inputs() + mixed_scale_inputs()
-                               + loop_inputs() + relation_inputs() + witness_inputs()
-                               + storage_inputs() + pivot_inputs() + vertex_inputs()
-                               + full_support_inputs() + incidence_inputs()
-                               + order_inputs() + large_n_inputs()):
-            argv = command.split()
-            for name, data in files:
-                argv.append(os.path.join(directory, name + ".json"))
-                if data is not None:
-                    with open(argv[-1], "w") as fh:
-                        fh.write(data if isinstance(data, str) else json.dumps(data))
-            out.append([" ".join([command] + [name for name, _ in files])]
-                       + _run(argv, directory))
+        inputs += (exchange_inputs() + rational_inputs() + mixed_scale_inputs()
+                   + loop_inputs() + relation_inputs() + witness_inputs()
+                   + storage_inputs() + pivot_inputs() + vertex_inputs()
+                   + full_support_inputs() + incidence_inputs()
+                   + order_inputs() + large_n_inputs())
+        out += _file_records(inputs, directory)
         for name, data in ARGV_FILES.items():
             with open(os.path.join(directory, name + ".json"), "w") as fh:
                 json.dump(data, fh)
@@ -758,6 +791,7 @@ def records(seeds):
             argv = [os.path.join(directory, a[1:-1] + ".json") if a[:1] == "{" else a
                     for a in shape]
             out.append(["argv: " + " ".join(shape)] + _run(argv, directory))
+        out += _file_records(unbounded_inputs(), directory)
     return out
 
 

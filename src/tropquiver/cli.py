@@ -1,11 +1,10 @@
 """JSON-in, JSON-out command line front end.
 
 Every subcommand is one entry of COMMANDS; the parser, the dispatcher and
-the input digests of the verdict are all read off that table.  A call is
-parsed first by a parser of the subcommand it names alone (_parse).  A
-verdict is indented JSON with sorted keys, written by jsonio.dump in
-batched writes: the same bytes as json.dump(verdict, indent=2,
-sort_keys=True).
+the input digests of the verdict are all read off that table, and so is
+a well-formed call, without building a parser (_parse).  A verdict is
+indented JSON with sorted keys, written by jsonio.dump in batched writes:
+the same bytes as json.dump(verdict, indent=2, sort_keys=True).
 
 Exit codes: 0 = predicate true / object emitted, 1 = predicate false
 (certificate emitted), 2 = input or usage error, 3 = internal error (its
@@ -149,15 +148,14 @@ def _run_command(args):
     return ok, payload, dict(*extra, inputs=digests)
 
 
-def build_parser(names=COMMANDS):
-    """The parser of the subcommands named, by default of all of them."""
+def build_parser():
+    """The parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="tropquiver",
         description="Exact decision procedures for valuated matroids on quivers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        cmd = COMMANDS[name]
+    for name, cmd in COMMANDS.items():
         # an explicit help, even None, lists the subcommand in --help
         p = sub.add_parser(name, help=None)
         for arg, _ in cmd.inputs:
@@ -173,15 +171,17 @@ def _error(command, message):
 
 
 def _parse(argv):
-    """The parsed argv.  A parser of the named subcommand alone, cheaper to
-    build than all of them, parses a well-formed call.  Any other argv (no
-    command name first, or arguments left over, about which
-    parse_known_args prints nothing) goes to the full parser, so every
-    usage error and help text is the one it prints, once."""
-    if argv and argv[0] in COMMANDS:
-        args, rest = build_parser(argv[:1]).parse_known_args(argv)
-        if not rest:
-            return args
+    """The parsed argv.  A well-formed call, strs naming a command, then its
+    inputs and its flags spelled in full in any order, no input starting
+    with "-", is read off COMMANDS into build_parser()'s Namespace; every
+    other argv, help and usage errors among them, goes to that parser."""
+    cmd = COMMANDS.get(argv[0]) if argv else None
+    if cmd is not None and all(isinstance(a, str) for a in argv):
+        flags = {"--" + key.replace("_", "-"): key for key, _ in cmd.flags}
+        paths = [a for a in argv[1:] if a not in flags]
+        if len(paths) == len(cmd.inputs) and not any(a[:1] == "-" for a in paths):
+            return argparse.Namespace(command=argv[0], **{k: f in argv for f, k in flags.items()},
+                                      **{arg: a for (arg, _), a in zip(cmd.inputs, paths)})
     return build_parser().parse_args(argv)
 
 

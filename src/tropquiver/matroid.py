@@ -23,11 +23,14 @@ valuated matroid.  On any other support one matroid walks each relation
 once (_unrepeated).  The exchange loop over pairs of finite bases names
 the certificate of a rejection and decides sparse tables, whose pairs of
 bases are fewer than their relations.  Every walk over subsets, or pairs of
-subsets or bases, is counted before it starts, against WALK_CAP.
+subsets or bases, is counted before it starts, against WALK_CAP; a count
+that is surely past it is not computed (subset_count), and no walk runs
+over the ground set where the file does not bound n.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -44,17 +47,50 @@ from .trop import INF, TropValue, TropVector
 WALK_CAP = 20000
 
 
+class _PastCap:
+    """A count past WALK_CAP that is never computed, printed as "more than
+    WALK_CAP".  Times 0 it is 0; times or plus any other count it stays
+    past the cap.  It compares greater than WALK_CAP and than every count
+    it meets, each at most WALK_CAP, and equal to no int."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return other and self
+
+    def __add__(self, other):
+        return self
+
+    __rmul__, __radd__ = __mul__, __add__
+
+    def __gt__(self, other):
+        return True
+
+    def __lt__(self, other):
+        return False
+
+    def __str__(self):
+        return "more than %d" % WALK_CAP
+
+
+PAST_CAP = _PastCap()
+_EXACT = WALK_CAP.bit_length()  # C(n, k) >= 2^k > WALK_CAP for _EXACT < k <= n - k
+
+
 def subset_count(n, k):
     """C(n, k), the number of k-subsets of [n]; 0 for k < 0 (the
-    (r-1)-subsets of a rank-0 matroid)."""
-    return comb(n, k) if k >= 0 else 0
+    (r-1)-subsets of a rank-0 matroid); PAST_CAP, without computing it,
+    where min(k, n - k) exceeds _EXACT."""
+    if k <= _EXACT:
+        return comb(n, k) if k >= 0 else 0
+    return comb(n, k) if n - k <= _EXACT else PAST_CAP
 
 
 def check_walk(what, count, unit="subsets"):
     """Raise CapacityError, before a walk starts, if it would visit more
-    than WALK_CAP subsets or pairs of subsets."""
+    than WALK_CAP subsets or pairs of subsets; count is exact, or PAST_CAP."""
     if count > WALK_CAP:
-        raise CapacityError("%s walks %d %s; the cap is %d" % (what, count, unit, WALK_CAP))
+        raise CapacityError("%s walks %s %s; the cap is %d" % (what, count, unit, WALK_CAP))
 
 
 def _subset(iterable):
@@ -107,11 +143,11 @@ class ValuatedMatroid:
 
     def bases(self):
         """Finite-support subsets, i.e. the bases of the underlying matroid."""
-        return sorted(_members(b, self.n) for b in self._at)
+        return sorted(_members(b) for b in self._at)
 
     def table(self):
         """Finite values as a subset -> TropValue dict."""
-        return {_members(b, self.n): TropValue(Fraction(x, self._scale))
+        return {_members(b): TropValue(Fraction(x, self._scale))
                 for b, x in self._at.items()}
 
     def subsets(self):
@@ -178,18 +214,20 @@ def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
     bases (an infinite left-hand side never violates), in sorted order,
     which is the order of combinations.
 
-    Each of the two subset counts is at most their product unless one is 0
-    (rank(mu) = 0 or rank(nu) = n), when there is no relation and no triple
-    and the relation walk returns at once; so the pairs of bases bound
-    every subset the relation walk builds.  The choice weighs a relation
-    pair and a pair of bases alike, skipped pairs counted too, which is a
-    balance, not a cost: on an accepting table a relation pair is the
-    cheaper, but a rejection runs both walks, so at equal counts the
-    relation walk gains on an accept about what it loses on a rejection.
+    The relations decide only where there is one: rank(mu) = 0 or
+    rank(nu) = n leaves no relation and no triple, and the exchange loop
+    finds none.  So each of the two subset counts is at most their
+    product, and the pairs of bases bound every subset the relation walk
+    builds, and n unless a basis of nu has n - 1 elements.  The choice
+    weighs a relation pair and a pair of bases alike, skipped pairs counted
+    too, which is a balance, not a cost: on an accepting table a relation
+    pair is the cheaper, but a rejection runs both walks, so at equal
+    counts the relation walk gains on an accept about what it loses on a
+    rejection.
     """
     base_pairs = len(mu._at) * len(nu._at)
     check_walk("exchange check", base_pairs, "pairs of bases")
-    by_relations = subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1) < base_pairs
+    by_relations = 0 < subset_count(mu.n, mu.r - 1) * subset_count(nu.n, nu.r + 1) < base_pairs
     if by_relations:
         if mu is nu and _full(mu):
             failing = _three_term_failure(mu)
@@ -201,7 +239,7 @@ def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
         if not failing:
             return None
     _, (mu_at, nu_at) = _int_tables((mu, nu))
-    left, right = (sorted((_members(b, m.n), b, x) for b, x in at.items())
+    left, right = (sorted((_members(b), b, x) for b, x in at.items())
                    for m, at in ((mu, mu_at), (nu, nu_at)))
     for i_set, i_mask, x in left:
         for j_set, j_mask, y in right:
@@ -232,13 +270,29 @@ def _mask(subset):
     return sum(1 << e for e in subset)
 
 
-def _members(mask, n):
-    return tuple(e for e in range(1, n + 1) if mask >> e & 1)
+_NONZERO = re.compile(rb"[^\x00]")  # a nonzero byte
+
+
+def _members(mask):
+    """The elements of a bitmask, increasing, one step each.  A mask wider
+    than a machine word, which one large element makes however short its
+    file, first has its nonzero bytes found by a scan in C, so that no step
+    is an operation on the whole mask."""
+    if mask.bit_length() > 64:
+        data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+        return tuple(8 * m.start() + k for m in _NONZERO.finditer(data)
+                     for k in range(8) if m[0][0] >> k & 1)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _fractions(m: ValuatedMatroid):
     """m's finite values as a subset -> Fraction dict, in stored order."""
-    return {_members(b, m.n): Fraction(x, m._scale) for b, x in m._at.items()}
+    return {_members(b): Fraction(x, m._scale) for b, x in m._at.items()}
 
 
 def _int_tables(matroids, extra=()):
@@ -252,7 +306,9 @@ def _int_tables(matroids, extra=()):
 
 
 def _full(m: ValuatedMatroid):
-    """Is every r-subset a basis of m (the uniform matroid)?"""
+    """Is every r-subset a basis of m (the uniform matroid)?  Every caller
+    has counted m's bases against WALK_CAP, so PAST_CAP, equal to no int,
+    answers no rightly."""
     return len(m._at) == subset_count(m.n, m.r)
 
 
@@ -289,9 +345,12 @@ def _three_term_failure(m: ValuatedMatroid):
     the (n - r)-subsets valued m(E - B), with the same three sums; so for
     2r > n the walk takes the dual's (n - r - 2)-subsets S, fewer, and
     reads m at the complements of Sab, ..., Sbc."""
+    k = m.r - 2 if 2 * m.r <= m.n else m.n - m.r - 2
+    if k < 0:
+        return False  # rank 0, 1, n - 1 or n: no relation, and no list of n bits
     at, bits = m._at, [1 << e for e in range(1, m.n + 1)]
-    k, flip = (m.r - 2, 0) if 2 * m.r <= m.n else (m.n - m.r - 2, sum(bits))
-    for s_bits in combinations(bits, k) if k >= 0 else ():
+    flip = 0 if 2 * m.r <= m.n else sum(bits)
+    for s_bits in combinations(bits, k):
         s = sum(s_bits)
         base = s ^ flip  # S, or for the dual the complement of S
         for a, b, c, d in combinations([e for e in bits if not s & e], 4):
@@ -351,10 +410,12 @@ def _subset_vectors(n, size, at, members, grouped):
     (size r - 1).  Empty vectors are dropped.  grouped keeps one vector per
     projective class, the first S's, sorted by raw entries with infinity
     last: the order of circuits() and cocircuits()."""
+    if size < 0:
+        return []  # no subset, and no list of n bits
     ground = range(1, n + 1)
     bits = [1 << e for e in ground]
     out = []
-    for s, s_bits in zip(combinations(ground, size), combinations(bits, size)) if size >= 0 else ():
+    for s, s_bits in zip(combinations(ground, size), combinations(bits, size)):
         mask = sum(s_bits)
         if members:
             vec = {e: at[b] for e in s if (b := mask ^ 1 << e) in at}
@@ -457,7 +518,12 @@ def _trop_vector(n, vec, scale):
 
 
 def _vectors(m: ValuatedMatroid, size, what, members):
-    check_walk(what, subset_count(m.n, size))
+    """circuits() or cocircuits(): the size-subsets are counted against
+    WALK_CAP, then the n entries of a vector per subset, which bound the
+    walk for a cocircuit (n - size entries read) and the vectors built."""
+    count = subset_count(m.n, size)
+    check_walk(what, count)
+    check_walk(what, count * m.n, "vector entries")
     return [_trop_vector(m.n, vec, m._scale)
             for _, _, vec in _subset_vectors(m.n, size, m._at, members, grouped=True)]
 

@@ -51,7 +51,8 @@ class GroundSetMap:
             raise UsageError("ground set must be nonempty")
         f1, f2 = {O: O}, {O: INF}
         assignments = dict(assignments)
-        if set(assignments) != set(range(1, n + 1)):
+        # sizes first: n is not bounded by the file until they agree
+        if len(assignments) != n or set(assignments) != set(range(1, n + 1)):
             raise UsageError("map must assign exactly the elements 1..%d" % n)
         for i, (target, shift) in assignments.items():
             shift = shift if isinstance(shift, TropValue) else TropValue(shift)

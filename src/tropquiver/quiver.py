@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import comb, lcm
+from math import lcm
 from typing import Optional
 
 from .errors import ShapeError, UsageError
@@ -56,6 +56,7 @@ from .matroid import (
     containment_check,
     is_valuated_matroid,
     quotient_check,
+    subset_count,
     tls_equal,
 )
 from .puiseux import (FieldMatrix, _check_rank, _contained, _scaled_system, _unscaled,
@@ -347,7 +348,7 @@ def _trop_projective_key(terms):
 def _arrow_pairs(rep: QuiverRepresentation):
     """(I, J) pairs, or (cocircuit, circuit) pairs, walked for all arrows:
     C(n, r-1) * C(n, s+1) for an arrow from rank r to rank s."""
-    return sum(comb(rep.n, rep.dim[a.src] - 1) * comb(rep.n, rep.dim[a.dst] + 1)
+    return sum(subset_count(rep.n, rep.dim[a.src] - 1) * subset_count(rep.n, rep.dim[a.dst] + 1)
                for a in rep.arrows)
 
 
@@ -364,13 +365,14 @@ def _kept_relations(rep: QuiverRepresentation):
     copies of each three-term relation, which are the first up to sign.
     The rest have pairwise distinct monomials, so they skip the
     proportionality test; they still enter its buckets, where loop
-    relations meet them."""
+    relations meet them.  A vertex of rank n has no pair and is not
+    walked, so that n, which then no file bounds, is never walked either."""
     n, dim = rep.n, rep.dim
-    pairs = sum(comb(n, dim[v] - 1) * comb(n, dim[v] + 1) for v in rep.vertices)
+    pairs = sum(subset_count(n, dim[v] - 1) * subset_count(n, dim[v] + 1) for v in rep.vertices)
     check_walk("relation generation", pairs + _arrow_pairs(rep), "(I, J) pairs")
     exp_scale = _exp_scale(rep.arrows)
     sources = [("vertex", v, _relations(n, dim[v], dim[v], v, v, _identity_columns(n), _add,
-                                        _unrepeated), 1) for v in rep.vertices]
+                                        _unrepeated), 1) for v in rep.vertices if dim[v] < n]
     sources += [("arrow", a_idx) + _arrow_relations(rep, a_idx, exp_scale)
                 for a_idx in range(len(rep.arrows))]
     seen_classical = {}  # monomial support -> classical relations kept

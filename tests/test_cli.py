@@ -125,6 +125,50 @@ EXIT_2 = [
 ]
 
 
+# Inputs whose ground set their file does not bound: a count far past the
+# cap, which is never computed (at the n = 40000 and n = 100000 of the
+# first four, C(n, n/2) has over 4300 digits, the int-to-str limit), and
+# tables, a map and quivers on n = 10^9 that must not walk the ground set
+G = 10 ** 9
+LARGE_N_FILES = {
+    "half40000": {"n": 40000, "vertices": ["v"], "arrows": [], "dim": {"v": 20000}},
+    "half100000": {"n": 100000, "r": 50000, "values": [[list(range(1, 50001)), "0"]]},
+    "r0": {"n": G, "r": 0, "values": [[[], "0"]]},
+    "r1": {"n": G, "r": 1, "values": [[[1], "0"]]},
+    "r0_20000": {"n": 20000, "r": 0, "values": [[[], "0"]]},
+    "flag": [{"n": G, "r": 0, "values": [[[], "0"]]}, {"n": G, "r": 1, "values": [[[1], "0"]]}],
+    "map": {"n": G, "f": [{"i": 1, "to": 1, "shift": "0"}]},
+    "full_rank": {"n": G, "vertices": ["v"], "arrows": [], "dim": {"v": G}},
+    "rank1": {"n": G, "vertices": ["v"], "arrows": [], "dim": {"v": 1}},
+    "tuple": {"v": {"n": G, "r": 1, "values": [[[1], "0"]]}},
+}
+# (argv, exit code, error of an exit 2)
+LARGE_N = [
+    (["relations", "half40000"], 2,
+     "relation generation walks more than 20000 (I, J) pairs; the cap is 20000"),
+    (["circuits", "half100000"], 2,
+     "circuit enumeration walks more than 20000 subsets; the cap is 20000"),
+    (["cocircuits", "half100000"], 2,
+     "cocircuit enumeration walks more than 20000 subsets; the cap is 20000"),
+    (["check-matroid", "half100000"], 0, None),
+    (["check-matroid", "r0"], 0, None),
+    (["check-matroid", "r1"], 0, None),
+    (["cocircuits", "r0"], 0, None),
+    (["cocircuits", "r1"], 2,
+     "cocircuit enumeration walks 1000000000 vector entries; the cap is 20000"),
+    (["circuits", "r0"], 2, "circuit enumeration walks 1000000000 subsets; the cap is 20000"),
+    (["circuits", "r0_20000"], 2,
+     "circuit enumeration walks 400000000 vector entries; the cap is 20000"),
+    (["quotient", "r0", "r1"], 0, None),
+    (["flag-check", "flag"], 0, None),
+    (["induce", "r1", "map"], 2, "map must assign exactly the elements 1..1000000000"),
+    (["relations", "full_rank"], 0, None),
+    (["relations", "rank1"], 2,
+     "relation generation walks 499999999500000000 (I, J) pairs; the cap is 20000"),
+    (["qdr-check", "rank1", "tuple"], 0, None),
+]
+
+
 # Argvs that argparse answers itself, before any file is read: usage
 # errors (exit 2) and top-level help.  scripts/cli_golden.py replays them too.
 USAGE_ARGVS = [
@@ -502,6 +546,19 @@ class TestErrors:
         assert time.monotonic() - start < 1.0
         assert code == 0 and "error" not in out
 
+    @pytest.mark.parametrize("argv,code,message", LARGE_N,
+                             ids=["-".join(argv) for argv, _, _ in LARGE_N])
+    def test_ground_set_the_file_does_not_bound(self, write, capsys, argv, code, message):
+        argv = [write(a + ".json", LARGE_N_FILES[a]) if a in LARGE_N_FILES else a for a in argv]
+        start = time.monotonic()
+        got, out = run(capsys, *argv)
+        assert time.monotonic() - start < 2.0
+        assert got == code
+        if code == 2:
+            assert out == {"command": argv[0], "error": message}
+        else:
+            assert out["certificate"] is None
+
     def test_oversized_integer(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text('{"n": %s, "r": 1, "values": []}' % ("9" * 5000))
@@ -652,15 +709,20 @@ def test_usage_is_the_full_parsers(capsys, argv):
     assert _exited(capsys, lambda: main(argv)) == expected
 
 
-def test_a_call_builds_only_its_subparser(write, capsys, monkeypatch):
+def test_a_well_formed_call_builds_no_parser(write, capsys, monkeypatch):
     added = []
     add_parser = argparse._SubParsersAction.add_parser
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
                         lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw))
     path = write("m.json", UNIFORM_32)
-    for _ in range(2):  # and builds it again: no parser is kept between calls
+    for _ in range(2):
         assert main(["check-matroid", path]) == 0
-    assert added == ["check-matroid", "check-matroid"]
+    assert added == []
+    # an argv the table hands over builds the full parser, each time: no
+    # parser is kept between calls
+    for _ in range(2):
+        assert main(["check-matroid", "--", path]) == 0
+    assert added == list(cli.COMMANDS) * 2
 
 
 def test_help_lists_every_subcommand(capsys):

@@ -1,7 +1,8 @@
 """Fuzzing the CLI input boundary with generated JSON trees.
 
 Whatever the files hold, every subcommand must print exactly one JSON
-object and exit 0, 1 or 2, and exit 1 must carry a certificate.  Most
+object and exit 0, 1 or 2, and exit 1 must carry a certificate.  Whatever
+the argv, cli._parse must answer as the full argparse parser does.  Most
 inputs start as coherent documents (a quiver, a matroid tuple, a witness,
 tropical and mostly weakly monomial field matrices, ground-set maps,
 points, matroids of ranks r <= s and flags), so that they reach the
@@ -179,3 +180,50 @@ def test_cli_boundary(command):
         assert verdict["certificate"] is not None
     if code == 2:
         assert set(verdict) == {"command", "error"}
+
+
+# argv tokens: names, flags spelled in full and abbreviated, help, tokens
+# that argparse reads as options or as "end of options", and paths
+FLAGS = sorted({"--" + key.replace("_", "-") for cmd in cli.COMMANDS.values()
+                for key, _ in cmd.flags})
+PATHS = st.sampled_from(["a.json", "b.json", "dir/c.json", "d e.json", ""])
+TOKENS = st.sampled_from(sorted(cli.COMMANDS) + FLAGS + [
+    "--cross", "-h", "--help", "-", "--", "-5", "--cross-check=1", "", "a.json", "d e.json"])
+
+
+@st.composite
+def argvs(draw):
+    """Tokens alone, or a command's name, then its inputs and some of its
+    flags in any order, with up to two tokens swapped in or put in."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.lists(TOKENS, max_size=5))
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    cmd = cli.COMMANDS[name]
+    rest = draw(st.lists(PATHS, min_size=len(cmd.inputs), max_size=len(cmd.inputs)))
+    if cmd.flags:
+        rest += draw(st.lists(st.sampled_from(["--" + key.replace("_", "-")
+                                               for key, _ in cmd.flags]), max_size=2))
+    rest = draw(st.permutations(rest))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(rest)))
+        if k < len(rest) and draw(st.booleans()):
+            rest[k] = draw(TOKENS)
+        else:
+            rest.insert(k, draw(TOKENS))
+    return [name] + rest
+
+
+def parsed(parse, argv):
+    """("namespace", its attributes) or ("exit", code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return "namespace", vars(parse(list(argv)))
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(argvs())
+def test_parse_is_the_full_parsers(argv):
+    assert parsed(cli._parse, argv) == parsed(lambda a: cli.build_parser().parse_args(a), argv)

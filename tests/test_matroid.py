@@ -1,6 +1,7 @@
 """Valuated matroids: exchange axiom, circuits, membership, quotients, minors."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -18,14 +19,57 @@ from tropquiver import (
     tls_membership,
     uniform_matroid,
 )
-from tropquiver.errors import NotAMatroidError, ShapeError, UsageError
-from tropquiver.matroid import restrict_table
+from tropquiver.errors import CapacityError, NotAMatroidError, ShapeError, UsageError
+from tropquiver.matroid import (
+    PAST_CAP,
+    WALK_CAP,
+    _mask,
+    _members,
+    _subset_vectors,
+    _three_term_failure,
+    check_walk,
+    restrict_table,
+    subset_count,
+)
 
 from helpers import rand_realization
 
 
 def vec(*entries):
     return TropVector([TropValue(None) if e is None else TropValue(e) for e in entries])
+
+
+class TestWalkCounts:
+    def test_subset_count_is_exact_unless_surely_past_the_cap(self):
+        for n in range(40):
+            for k in range(-1, n + 2):
+                if min(k, n - k) <= WALK_CAP.bit_length():
+                    assert subset_count(n, k) == (comb(n, k) if k >= 0 else 0)
+                else:
+                    assert subset_count(n, k) is PAST_CAP and comb(n, k) > WALK_CAP
+
+    def test_a_count_past_the_cap_stays_past_it(self):
+        past = subset_count(10 ** 5, 5 * 10 ** 4)
+        assert past is PAST_CAP
+        assert 0 * past == past * 0 == 0
+        assert past * 3 is 3 * past is past * past is past
+        assert sum([1, past, 2]) is past and past + 1 is past
+        assert past > WALK_CAP and 1 < past and not past < WALK_CAP and past != WALK_CAP + 1
+        with pytest.raises(CapacityError) as exc:
+            check_walk("walk", 2 * past)
+        assert str(exc.value) == "walk walks more than 20000 subsets; the cap is 20000"
+        with pytest.raises(CapacityError) as exc:
+            check_walk("walk", subset_count(30, 14) * 2, "pairs")
+        assert str(exc.value) == "walk walks 290845350 pairs; the cap is 20000"
+
+    def test_no_walk_over_an_unbounded_ground_set(self):
+        n = 10 ** 9
+        for members in [(1, 5, 10 ** 4), tuple(range(1, 200)), (3, 64), (63,)]:
+            assert _members(_mask(members)) == members  # masks wider and narrower than a word
+        for r in (0, 1):
+            assert not _three_term_failure(ValuatedMatroid(n, r, {tuple(range(1, r + 1)): 0}))
+        assert _subset_vectors(n, -1, {0: 0}, members=False, grouped=True) == []
+        assert is_valuated_matroid(ValuatedMatroid(n, 1, {(1,): 0})) == (True, None)
 
 
 class TestConstruction:

@@ -79,7 +79,7 @@ def _exchange_violation(mu: ValuatedMatroid, nu: ValuatedMatroid):
                                         pick=_unrepeated if mu is nu else None) is None:
         return None
     _, (mu_at, nu_at) = _int_tables((mu, nu))
-    left, right = (sorted((_members(b, m.n), b, x) for b, x in at.items())
+    left, right = (sorted((_members(b), b, x) for b, x in at.items())
                    for m, at in ((mu, mu_at), (nu, nu_at)))
     for i_set, i_mask, x in left:
         for j_set, j_mask, y in right:
